@@ -145,12 +145,19 @@ def percentile(values: Sequence[float], pct: float) -> float:
 
 def tail(values: Sequence[float]) -> Tuple[float, float]:
     """``(percentile, value)``: the highest ladder percentile with at least
-    ten samples beyond it."""
+    ten samples beyond it, and the mean of the samples beyond it.
+
+    The mean of the slowest tenth (say) is steadier from run to run than
+    the percentile at its edge: the slow ops are a few heavy points whose
+    latencies are spread thinly, and an estimate at one rank among them
+    moved twice as much as the median did.
+    """
     n = len(values)
-    for pct in TAIL_LADDER:
-        if n * (1.0 - pct / 100.0) >= 10:
-            return pct, percentile(values, pct)
-    return 50.0, percentile(values, 50.0)
+    if n == 0:
+        return 50.0, 0.0
+    pct = next((p for p in TAIL_LADDER if n * (1.0 - p / 100.0) >= 10), 50.0)
+    beyond = sorted(values)[-max(1, round(n * (1.0 - pct / 100.0))):]
+    return pct, sum(beyond) / len(beyond)
 
 
 def median(values: Sequence[float]) -> float:

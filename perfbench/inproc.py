@@ -22,6 +22,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import common
 import spans as span_lib
 
+#: Workers are forked, not spawned: spawning starts multiprocessing's
+#: resource tracker, a helper process that outlives the run.  The parent
+#: never imports :mod:`repro`, so a forked worker starts as cold as a new
+#: interpreter.
+FORK = multiprocessing.get_context("fork")
+
 #: Wall limit of one op (one certified point), enforced from outside.
 OP_LIMIT_S = 30.0
 #: Wall limit for a worker to import, generate its dataset and build its engine.
@@ -64,11 +70,16 @@ NOT_REACHED = (
 )
 
 
-#: Nominal wall of one cold pass on a 2-core host.  A run makes
+#: Nominal wall of one cold pass on a 2-core host (a `paper-small` pass took
+#: 13-30 s there as the host's speed changed).  A run makes
 #: ``round(seconds / PASS_SECONDS)`` passes (at least one): a count that
 #: does not depend on how fast the host happens to be, so every run of a
 #: workload has the same number of samples and the same tail percentile.
-PASS_SECONDS = {"paper-small": 23.0, "mnist-scale": 10.0}
+PASS_SECONDS = {"paper-small": 15.0, "mnist-scale": 10.0}
+
+#: Fewest set-up samples behind ``setup_s``.  A pass of ``mnist-scale`` has
+#: one block, so its runs start extra workers that only set up and end.
+SETUP_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -172,10 +183,10 @@ class PassResult:
 
 
 class _Worker:
-    def __init__(self, ctx, block: Block, traced: bool) -> None:
-        self.conn, child = ctx.Pipe()
+    def __init__(self, block: Block, traced: bool) -> None:
+        self.conn, child = FORK.Pipe()
         started = time.perf_counter()
-        self.proc = ctx.Process(
+        self.proc = FORK.Process(
             target=worker_main, args=(child, block.dataset, block.model, traced), daemon=True
         )
         self.proc.start()
@@ -209,11 +220,10 @@ def run_pass(
     blocks: Sequence[Block], traced: bool, run_started: float, next_op_id: int = 0
 ) -> PassResult:
     """Certify every block once, each in a fresh worker."""
-    ctx = multiprocessing.get_context("spawn")
     result = PassResult()
     op_id = next_op_id
     for block in blocks:
-        worker: Optional[_Worker] = _Worker(ctx, block, traced)
+        worker: Optional[_Worker] = _Worker(block, traced)
         result.setups.append(worker.setup_s)
         block_started = time.perf_counter()
         for index in block.indices:
@@ -222,7 +232,7 @@ def run_pass(
                 result.ops.append(OpRecord(block.dataset, block.model, index, 0.0, "skipped"))
                 continue
             if worker is None:
-                worker = _Worker(ctx, block, traced)
+                worker = _Worker(block, traced)
             sent = time.perf_counter()
             worker.conn.send(("op", index, op_id))
             try:
@@ -249,6 +259,16 @@ def run_pass(
         if worker is not None:
             worker.finish(result)
     return result
+
+
+def extra_setups(block: Block, count: int) -> List[float]:
+    """Set-up walls of ``count`` workers for ``block`` that certify nothing."""
+    samples = []
+    for _ in range(count):
+        worker = _Worker(block, False)
+        samples.append(worker.setup_s)
+        worker.finish(PassResult())
+    return samples
 
 
 def check_verdicts(ops: Sequence[OpRecord], refs: Dict[str, List[str]]) -> dict:
@@ -336,22 +356,30 @@ def run(workload: str, seed: int, seconds: float, trace: bool, started: float) -
     """Run ``workload``; return its metrics, op counts and details."""
     refs = common.load_refs()
     blocks = BLOCKS[workload](random.Random(seed))
-    if trace:
-        untraced = run_pass(blocks, False, started)
-        traced = run_pass(blocks, True, started, next_op_id=len(untraced.ops))
-        passes = [untraced, traced]
-        measured = traced
-    else:
-        passes = [
-            run_pass(blocks, False, started)
-            for _ in range(max(1, round(seconds / PASS_SECONDS[workload])))
-        ]
-        measured = PassResult(
-            ops=[op for p in passes for op in p.ops],
-            setups=[s for p in passes for s in p.setups],
-            timed_s=sum(p.timed_s for p in passes),
-            peak_rss_kb=max(p.peak_rss_kb for p in passes),
-        )
+    try:
+        if trace:
+            untraced = run_pass(blocks, False, started)
+            traced = run_pass(blocks, True, started, next_op_id=len(untraced.ops))
+            passes = [untraced, traced]
+            measured = traced
+        else:
+            passes = [
+                run_pass(blocks, False, started)
+                for _ in range(max(1, round(seconds / PASS_SECONDS[workload])))
+            ]
+            measured = PassResult(
+                ops=[op for p in passes for op in p.ops],
+                setups=[s for p in passes for s in p.setups],
+                timed_s=sum(p.timed_s for p in passes),
+                peak_rss_kb=max(p.peak_rss_kb for p in passes),
+            )
+            measured.setups += extra_setups(blocks[0], SETUP_SAMPLES - len(measured.setups))
+    finally:
+        # Every worker has ended by now unless an exception cut a pass
+        # short; then the live one is killed and reaped before it goes on.
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
     all_ops = [op for p in passes for op in p.ops]
     check = check_verdicts(all_ops, refs)
     e2e, latency = end_to_end(measured)

@@ -3,13 +3,14 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload paper-small --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload paper-small --seed 1 --seconds 30 --trace 0
 
 Workloads (see ``BENCHMARK.json`` and ``perfbench/README.md``):
 
 * ``paper-small`` -- the paper's certified-fraction grid on iris and
   mammography, cold (``perfbench/inproc.py``);
 * ``mnist-scale`` -- MNIST-1-7 binary at full size, cold (same module);
+  run by hand, not listed in ``BENCHMARK.json``;
 * ``serve-routed`` -- a closed loop through ``repro route`` and two
   ``repro serve`` backends (``perfbench/served.py``).
 
@@ -110,7 +111,7 @@ def _report(result: dict) -> None:
           f"verdicts {json.dumps(details.get('verdict_mix', {}), sort_keys=True)}")
     latency = details.get("latency", {})
     if latency:
-        print(f"latency: p50 {latency['p50_ms']:.2f} ms, p{latency['tail_pct']:g} "
+        print(f"latency: p50 {latency['p50_ms']:.2f} ms, mean beyond p{latency['tail_pct']:g} "
               f"{latency['tail_ms']:.2f} ms over {latency['samples']} samples")
     for name, metric in result["metrics"].items():
         print(f"  {name:40s} {metric['value']:.6g} {metric['unit']}")
