@@ -1,10 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Each ``bench_*.py`` module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md's per-experiment index) at a scale small enough for
-continuous benchmarking, and writes the rendered artifact under
-``benchmarks/results/`` so the numbers recorded in EXPERIMENTS.md can be
-re-derived at any time.
+evaluation at a scale small enough for continuous benchmarking, and writes
+the rendered artifact under ``benchmarks/results/`` so the committed numbers
+can be re-derived at any time.
 
 Scale note: dataset sizes, depths, and poisoning grids here are deliberately
 reduced relative to §6 of the paper (this is a pure-Python reproduction).

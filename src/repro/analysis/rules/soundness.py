@@ -94,6 +94,18 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
         "tests/verify/test_vectorized_kernels.py",
     ),
     KernelSpec(
+        "repro/verify/transformers.py",
+        "leaf_exit_bounds",
+        "leaf_exit_bounds_reference",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/domains/interval.py",
+        "dominating_components",
+        "dominating_component",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
         "repro/core/splitter.py",
         "_score_table",
         "_score_table_reference",

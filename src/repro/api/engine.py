@@ -683,6 +683,8 @@ class CertificationEngine:
                 else TimeBudget.unlimited()
             )
             last_result: Optional[VerificationResult] = None
+            # Reads the heap peak only when the caller traces allocations;
+            # the engine never turns tracing on (it slows every allocation).
             with MemoryTracker() as memory:
                 for domain in domains:
                     outcome = self._run_domain(

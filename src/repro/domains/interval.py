@@ -158,6 +158,41 @@ def dominating_component(intervals: Sequence[Interval]) -> Optional[int]:
     return None
 
 
+def vector_bounds(
+    vectors: Sequence[Sequence[Interval]], length: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(e, length)`` lower and upper bound arrays of ``e`` interval vectors."""
+    lower = np.array([[iv.lo for iv in vector] for vector in vectors], dtype=np.float64)
+    upper = np.array([[iv.hi for iv in vector] for vector in vectors], dtype=np.float64)
+    return lower.reshape(-1, length), upper.reshape(-1, length)
+
+
+def dominating_components(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """:func:`dominating_component` of every row of ``(e, k)`` bound arrays.
+
+    Row ``r`` describes the interval vector ``[lower[r, i], upper[r, i]]``;
+    the result has shape ``(e,)`` and holds the dominating index of each row,
+    or ``-1`` where no component dominates.
+    """
+    beats = lower[:, :, np.newaxis] > upper[:, np.newaxis, :]
+    k = lower.shape[1]
+    beats[:, np.arange(k), np.arange(k)] = True  # a component never competes with itself
+    dominates = beats.all(axis=2)
+    return np.where(dominates.any(axis=1), dominates.argmax(axis=1), -1)
+
+
+def join_bounds(lower: np.ndarray, upper: np.ndarray) -> Tuple[Interval, ...]:
+    """Componentwise join of every row of ``(e, k)`` bound arrays (``e >= 1``).
+
+    Equals folding :func:`join_interval_vectors` over the rows, in one
+    min/max reduction.
+    """
+    return tuple(
+        Interval(lo, hi)
+        for lo, hi in zip(lower.min(axis=0).tolist(), upper.max(axis=0).tolist())
+    )
+
+
 # --------------------------------------------------------------------------
 # Vectorized bound arithmetic.  These helpers operate on parallel arrays of
 # lower and upper bounds and implement the same sound rules as the scalar

@@ -27,6 +27,7 @@ from repro.datasets.splits import DatasetSplit
 from repro.experiments.config import ExperimentConfig
 from repro.poisoning.models import RemovalPoisoningModel
 from repro.runtime import CertificationRuntime
+from repro.utils.memory import trace_allocations
 from repro.utils.rng import derive_seed, make_rng
 from repro.verify.result import VerificationResult
 from repro.verify.robustness import PoisoningVerifier
@@ -161,14 +162,20 @@ def run_grid_cell(
     poisoning_amount: int,
     config: ExperimentConfig,
 ) -> Tuple[GridCellResult, List[VerificationResult]]:
-    """Verify every selected test point for one (depth, domain, n) cell."""
+    """Verify every selected test point for one (depth, domain, n) cell.
+
+    Allocation tracing is on for the cell's run (forked pool workers inherit
+    it), so every result carries the measured heap peak that the memory
+    panels of Figures 7-11 plot.
+    """
     engine = make_engine(depth, domain, config)
-    report = engine.certify_batch(
-        split.train,
-        test_points,
-        RemovalPoisoningModel(poisoning_amount),
-        n_jobs=config.n_jobs,
-    )
+    with trace_allocations():
+        report = engine.certify_batch(
+            split.train,
+            test_points,
+            RemovalPoisoningModel(poisoning_amount),
+            n_jobs=config.n_jobs,
+        )
     cell = GridCellResult.from_report(
         dataset_name, domain, depth, poisoning_amount, report
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -206,6 +206,19 @@ class FlipAbstractTrainingSet:
             intervals.append(Interval(min(lower, 1.0), min(upper, 1.0)))
         return tuple(intervals)
 
+    @staticmethod
+    def probability_bounds(
+        sizes: np.ndarray,
+        class_counts: np.ndarray,
+        removals: np.ndarray,
+        flips: np.ndarray,
+        method: str = "optimal",
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`class_probability_intervals` of a batch of flip elements,
+        given by their statistics (the dispatch target of
+        :func:`repro.verify.transformers.leaf_exit_bounds`)."""
+        return _flip_side_probability_bounds(sizes, class_counts, removals, flips, method)
+
     def gini_interval(self) -> Interval:
         total = Interval.zero()
         one = Interval.point(1.0)
@@ -277,6 +290,47 @@ class FlipAbstractTrainingSet:
 # ---------------------------------------------------------------------------
 
 
+def _flip_side_probability_bounds(
+    sizes: np.ndarray,
+    class_counts: np.ndarray,
+    removals: Union[int, np.ndarray],
+    flips: Union[int, np.ndarray],
+    method: str = "optimal",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized :meth:`FlipAbstractTrainingSet.class_probability_intervals`.
+
+    ``sizes`` has shape ``(c,)`` and ``class_counts`` shape ``(c, k)``;
+    ``removals`` and ``flips`` are budgets shared by every row or ``(c,)``
+    arrays of per-row budgets.  Returns ``(c, k)`` lower and upper bounds,
+    equal to the scalar transformer's row by row.
+    """
+    sizes = sizes.astype(np.float64)
+    counts = class_counts.astype(np.float64)
+    side_removals = np.minimum(np.asarray(removals, dtype=np.float64), sizes)
+    side_flips = np.minimum(np.asarray(flips, dtype=np.float64), sizes)
+    remaining = sizes - side_removals
+
+    positive = remaining > 0
+    safe_remaining = np.where(positive, remaining, 1.0)[:, None]
+    budget = (side_removals + side_flips)[:, None]
+    lower_numerator = np.maximum(0.0, counts - budget)
+    if method == "optimal":
+        lower_pos = np.minimum(lower_numerator / safe_remaining, 1.0)
+        upper_pos = np.minimum(
+            np.minimum(counts + side_flips[:, None], remaining[:, None]) / safe_remaining,
+            1.0,
+        )
+    elif method == "box":
+        # Numerator [max(0, c - r - f), min(c + f, |T|)] over denominator
+        # [|T| - r, |T|]: interval division with a positive divisor.
+        lower_pos = lower_numerator / np.maximum(sizes, 1.0)[:, None]
+        upper_pos = np.minimum(counts + side_flips[:, None], sizes[:, None]) / safe_remaining
+    else:
+        raise ValueError(f"unknown cprob method {method!r}")
+    mask = positive[:, None]
+    return np.where(mask, lower_pos, 0.0), np.where(mask, upper_pos, 1.0)
+
+
 def _flip_side_score_bounds(
     sizes: np.ndarray, class_counts: np.ndarray, removals: int, flips: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -286,22 +340,9 @@ def _flip_side_score_bounds(
     to *this* side alone.  :func:`_flip_split_score_bounds` combines the two
     sides over all ways of allocating the shared flip budget between them.
     """
+    lower, upper = _flip_side_probability_bounds(sizes, class_counts, removals, flips)
     sizes = sizes.astype(np.float64)
-    counts = class_counts.astype(np.float64)
-    side_removals = np.minimum(float(removals), sizes)
-    side_flips = np.minimum(float(flips), sizes)
-    remaining = sizes - side_removals
-
-    lower = np.zeros_like(counts)
-    upper = np.ones_like(counts)
-    positive = remaining > 0
-    safe_remaining = np.where(positive, remaining, 1.0)[:, None]
-    budget = (side_removals + side_flips)[:, None]
-    lower_pos = np.maximum(0.0, counts - budget) / safe_remaining
-    upper_pos = np.minimum(counts + side_flips[:, None], remaining[:, None]) / safe_remaining
-    mask = positive[:, None]
-    lower = np.where(mask, np.minimum(lower_pos, 1.0), lower)
-    upper = np.where(mask, np.minimum(upper_pos, 1.0), upper)
+    remaining = sizes - np.minimum(float(removals), sizes)
 
     term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
     gini_lower = term_lower.sum(axis=1)

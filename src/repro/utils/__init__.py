@@ -1,6 +1,6 @@
 """Utility substrate: timing, memory tracking, validation, and reporting helpers."""
 
-from repro.utils.memory import MemoryTracker, peak_memory_bytes
+from repro.utils.memory import MemoryTracker, peak_memory_bytes, trace_allocations
 from repro.utils.tables import TextTable, format_float
 from repro.utils.timing import Stopwatch, TimeBudget, TimeoutExceeded
 from repro.utils.validation import (
@@ -13,6 +13,7 @@ from repro.utils.validation import (
 __all__ = [
     "MemoryTracker",
     "peak_memory_bytes",
+    "trace_allocations",
     "TextTable",
     "format_float",
     "Stopwatch",

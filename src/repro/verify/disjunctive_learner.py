@@ -13,6 +13,13 @@ disjuncts can grow exponentially with the tree depth, so the learner enforces
 a configurable disjunct budget and a cooperative time budget, mirroring the
 timeouts and out-of-memory failures reported in the paper's evaluation.
 
+The disjuncts of the last depth are exits the moment they exist, so they are
+never built: each parent contributes the statistics of its children
+(:func:`~repro.verify.transformers.split_statistics`), and one batched
+``cprob#`` (:func:`~repro.verify.transformers.leaf_exit_bounds`) bounds every
+leaf of the run.  The join and the per-exit dominating classes are array
+reductions over all exits.
+
 The learner is domain-generic: through the dispatching transformers of
 :mod:`repro.verify.transformers` it interprets removal elements ``⟨T, n⟩``
 and flip/composite elements ``⟨T, r, f⟩`` alike, so label-flip and combined
@@ -25,17 +32,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.predicates import point_satisfies
-from repro.domains.interval import Interval, dominating_component, join_interval_vectors
+from repro.domains.interval import (
+    Interval,
+    dominating_components,
+    join_bounds,
+    vector_bounds,
+)
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
 from repro.utils.timing import TimeBudget
 from repro.verify.abstract_learner import AbstractRunResult
 from repro.verify.transformers import (
+    SplitStatistics,
     best_split_abstract,
     cprob_intervals,
     entropy_is_definitely_zero,
+    leaf_exit_bounds,
     pure_exit_vector,
+    split_statistics,
 )
 
 
@@ -95,13 +112,19 @@ class DisjunctiveAbstractLearner:
         # the join needs, and the flip domain's pure exits have no state form
         # (see transformers.pure_exit_vector).
         exit_vectors: List[Tuple[Interval, ...]] = []
+        # The children of the last level are exits too, but they are never
+        # built: each parent contributes the statistics of its non-empty
+        # children, and one batched cprob# scores them all after the loop.
+        leaf_statistics: List[SplitStatistics] = []
+        leaf_count = 0
         iterations = 0
         peak_disjuncts = 1
 
-        for _ in range(self.max_depth):
+        for depth in range(self.max_depth):
             if not live:
                 break
             iterations += 1
+            last_level = depth == self.max_depth - 1
             next_live: List[AbstractTrainingSet] = []
             for state in live:
                 budget.check()
@@ -121,6 +144,7 @@ class DisjunctiveAbstractLearner:
                             cprob_intervals(state, self.cprob_method)
                         )
                 with profiling.phase("disjunct_split"):
+                    children = []
                     for predicate in predicates.without_null():
                         branches = verdict_cache.get(predicate)
                         if branches is None:
@@ -131,7 +155,13 @@ class DisjunctiveAbstractLearner:
                             if verdict.possibly_false:
                                 branches.append(False)
                             verdict_cache[predicate] = branches
-                        for branch in branches:
+                        children.extend((predicate, branch) for branch in branches)
+                    if last_level:
+                        statistics = split_statistics(state, children)
+                        leaf_statistics.append(statistics)
+                        leaf_count += int(statistics[0].shape[0])
+                    else:
+                        for predicate, branch in children:
                             child = state.split_down(predicate, branch)
                             if child.size == 0:
                                 # The branch is infeasible for every
@@ -140,31 +170,43 @@ class DisjunctiveAbstractLearner:
                                 # drop it.
                                 continue
                             next_live.append(child)
-                self._check_budget(len(next_live) + len(exit_vectors))
+                self._check_budget(len(next_live) + leaf_count + len(exit_vectors))
             live = next_live
-            peak_disjuncts = max(peak_disjuncts, len(live) + len(exit_vectors))
+            peak_disjuncts = max(
+                peak_disjuncts, len(live) + leaf_count + len(exit_vectors)
+            )
 
         with profiling.phase("cprob_exit"):
             exit_vectors.extend(
                 cprob_intervals(state, self.cprob_method) for state in live
             )
-        self._check_budget(len(exit_vectors))
+            lower, upper = vector_bounds(exit_vectors, trainset.dataset.n_classes)
+            if leaf_statistics:
+                leaf_lower, leaf_upper = leaf_exit_bounds(
+                    trainset,
+                    tuple(np.concatenate(part) for part in zip(*leaf_statistics)),
+                    self.cprob_method,
+                )
+                lower = np.concatenate([lower, leaf_lower])
+                upper = np.concatenate([upper, leaf_upper])
+        exit_count = int(lower.shape[0])
+        self._check_budget(exit_count)
 
-        n_classes = trainset.dataset.n_classes
-        if not exit_vectors:
+        if exit_count == 0:
             joined: Tuple[Interval, ...] = tuple(
-                Interval.unit() for _ in range(n_classes)
+                Interval.unit() for _ in range(trainset.dataset.n_classes)
             )
             per_exit: Tuple[Optional[int], ...] = ()
         else:
-            joined = exit_vectors[0]
-            for vector in exit_vectors[1:]:
-                joined = join_interval_vectors(joined, vector)
-            per_exit = tuple(dominating_component(vector) for vector in exit_vectors)
+            joined = join_bounds(lower, upper)
+            per_exit = tuple(
+                None if index < 0 else index
+                for index in dominating_components(lower, upper).tolist()
+            )
 
         return DisjunctiveRunResult(
             class_intervals=joined,
-            exit_count=len(exit_vectors),
+            exit_count=exit_count,
             iterations=iterations,
             max_disjuncts=peak_disjuncts,
             exit_robust_classes=per_exit,

@@ -69,7 +69,11 @@ class VerificationResult:
         ``"flip-disjuncts"`` for the label-flip and composite removal+flip
         models.
     elapsed_seconds / peak_memory_bytes:
-        Wall-clock time and peak Python-heap allocation of the attempt.
+        Wall-clock time and peak Python-heap allocation of the attempt.  The
+        heap peak is 0 unless the process traces allocations
+        (:mod:`tracemalloc`, e.g. via
+        :func:`repro.utils.memory.trace_allocations`); certification never
+        turns tracing on itself.
     log10_num_datasets:
         ``log10 |Δ(T)|`` — the size of the space a naïve enumeration baseline
         would need to explore.

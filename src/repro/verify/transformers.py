@@ -32,7 +32,7 @@ importing the flip domain here would cycle through ``repro.poisoning``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +40,12 @@ from repro.core.dataset import FeatureKind
 from repro.core.predicates import (
     EqualityPredicate,
     Predicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
 )
 from repro.core import split_plan
 from repro.core.splitter import FeatureSplitTable
-from repro.domains.interval import Interval, mul_bounds
+from repro.domains.interval import Interval, mul_bounds, vector_bounds
 from repro.domains.predicate_set import AbstractPredicateSet
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
@@ -256,17 +258,22 @@ class _ScoredCandidates:
 
 
 def _side_probability_bounds(
-    sizes: np.ndarray, class_counts: np.ndarray, budget: int, method: str
+    sizes: np.ndarray,
+    class_counts: np.ndarray,
+    budget: Union[int, np.ndarray],
+    method: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized ``cprob#`` bounds for one side of every candidate split.
 
     Parameters are arrays over candidates: ``sizes`` has shape ``(c,)`` and
-    ``class_counts`` shape ``(c, k)``.  Returns per-candidate, per-class lower
-    and upper probability bounds of shape ``(c, k)``.
+    ``class_counts`` shape ``(c, k)``; ``budget`` is one removal budget for
+    every candidate or a ``(c,)`` array of per-candidate budgets.  Returns
+    per-candidate, per-class lower and upper probability bounds of shape
+    ``(c, k)``.
     """
     sizes = sizes.astype(np.float64)
     counts = class_counts.astype(np.float64)
-    budgets = np.minimum(float(budget), sizes)
+    budgets = np.minimum(np.asarray(budget, dtype=np.float64), sizes)
     remaining = sizes - budgets  # m = |T| - n for each candidate side
 
     lower = np.zeros_like(counts)
@@ -530,3 +537,152 @@ def _best_split_abstract(
     if plan is not None and cache_key is not None:
         plan.store_best_split(cache_key, result)
     return result
+
+
+# ---------------------------------------------------------------------------
+# The disjunctive learner's last level, batched
+# ---------------------------------------------------------------------------
+
+#: Statistics of a batch of abstract elements, without the elements:
+#: ``(sizes, class_counts, removals, flips)`` of shapes ``(e,)``, ``(e, k)``,
+#: ``(e,)`` and ``(e,)``.  Removal elements ``⟨T, n⟩`` have ``flips = 0``.
+SplitStatistics = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _budgets(trainset) -> Tuple[int, int]:
+    """``(removals, flips)`` of a removal or a flip/composite element."""
+    flips = getattr(trainset, "flips", None)
+    if flips is None:
+        return trainset.n, 0
+    return trainset.removals, flips
+
+
+def _table_positions(
+    tables: split_plan.NodeTables, predicates: Sequence[Predicate]
+) -> np.ndarray:
+    """The node's stacked candidate whose split each predicate makes, or -1.
+
+    A candidate sits between adjacent distinct values ``a < b`` of the node's
+    rows, so ``x <= τ`` keeps exactly its left rows for ``a <= τ < b``, and a
+    symbolic ``x <= [low, high)`` with ``a <= low < high <= b`` has equal
+    tight and loose sides on both branches.  Every predicate ``bestSplit#``
+    returns for the node is such a candidate; other predicates get -1.
+    """
+    positions = np.full(len(predicates), -1, dtype=np.int64)
+    by_feature: Dict[int, List[int]] = {}
+    for i, predicate in enumerate(predicates):
+        if isinstance(predicate, (SymbolicThresholdPredicate, ThresholdPredicate)):
+            by_feature.setdefault(predicate.feature, []).append(i)
+    stacked = tables.stacked
+    for feature, members in by_feature.items():
+        table = tables[feature]
+        if stacked is None or table.n_candidates == 0:
+            continue
+        low = np.empty(len(members))
+        high = np.empty(len(members))
+        symbolic = np.empty(len(members), dtype=bool)
+        for j, i in enumerate(members):
+            predicate = predicates[i]
+            if isinstance(predicate, SymbolicThresholdPredicate):
+                low[j], high[j], symbolic[j] = predicate.low, predicate.high, True
+            else:
+                low[j] = high[j] = predicate.threshold
+                symbolic[j] = False
+        position = np.searchsorted(table.lower_values, low, side="right") - 1
+        gap_end = table.upper_values[np.maximum(position, 0)]
+        inside = (position >= 0) & ((high < gap_end) | (symbolic & (high == gap_end)))
+        positions[np.asarray(members)[inside]] = (
+            position[inside] + stacked.offsets[feature]
+        )
+    return positions
+
+
+def split_statistics(
+    trainset: AbstractTrainingSet, children: Sequence[Tuple[Predicate, bool]]
+) -> SplitStatistics:
+    """Statistics of the non-empty children ``trainset↓(φ, branch)``, in order.
+
+    Children whose predicate is a candidate of the node's split table are
+    read from that table (``bestSplit#`` built it for the node already); any
+    other child is built with ``split_down``.  Either way the statistics are
+    those of the element ``split_down`` returns, budgets clamped as its
+    constructor clamps them; empty children are dropped.
+    """
+    removals, flips = _budgets(trainset)
+    k = trainset.dataset.n_classes
+    # Children come in (predicate, branch) runs: number the distinct
+    # predicates once (by identity, cheaper than hashing the dataclass).
+    numbers: Dict[int, int] = {}
+    predicates: List[Predicate] = []
+    predicate_of = np.empty(len(children), dtype=np.int64)
+    left = np.empty(len(children), dtype=bool)
+    for row, (predicate, branch) in enumerate(children):
+        number = numbers.get(id(predicate))
+        if number is None:
+            number = numbers[id(predicate)] = len(predicates)
+            predicates.append(predicate)
+        predicate_of[row] = number
+        left[row] = branch
+    tables = split_plan.plan_for(trainset.dataset).node_tables(trainset.indices)
+    candidates = _table_positions(tables, predicates)[predicate_of]
+
+    sizes = np.zeros(len(children), dtype=np.int64)
+    counts = np.zeros((len(children), k), dtype=np.int64)
+    child_removals = np.full(len(children), removals, dtype=np.int64)
+    child_flips = np.full(len(children), flips, dtype=np.int64)
+    read = candidates >= 0
+    if read.any():
+        stacked = tables.stacked
+        assert stacked is not None
+        positions = candidates[read]
+        left_sizes = stacked.left_sizes[positions]
+        left_counts = stacked.left_class_counts[positions]
+        sides = left[read]
+        sizes[read] = np.where(sides, left_sizes, stacked.total_size - left_sizes)
+        counts[read] = np.where(
+            sides[:, np.newaxis],
+            left_counts,
+            stacked.total_class_counts[np.newaxis, :] - left_counts,
+        )
+    for row in np.flatnonzero(~read).tolist():
+        predicate, branch = children[row]
+        child = trainset.split_down(predicate, branch)
+        sizes[row] = child.size
+        counts[row] = child.class_counts()
+        child_removals[row], child_flips[row] = _budgets(child)
+    keep = sizes > 0
+    return sizes[keep], counts[keep], child_removals[keep], child_flips[keep]
+
+
+def leaf_exit_bounds(
+    trainset: AbstractTrainingSet, statistics: SplitStatistics, method: str = "optimal"
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched ``cprob#`` of the elements that ``statistics`` describes.
+
+    Row ``i`` of the ``(e, k)`` lower and upper bound arrays equals
+    ``cprob_intervals`` of the ``i``-th element, bit for bit; ``trainset``
+    only selects the domain (removal or flip/composite) of the batch.
+    """
+    sizes, counts, removals, flips = statistics
+    flip_bounds = getattr(trainset, "probability_bounds", None)
+    if flip_bounds is not None:
+        return flip_bounds(sizes, counts, removals, flips, method)
+    return _side_probability_bounds(sizes, counts, removals, method)
+
+
+def leaf_exit_bounds_reference(
+    trainset: AbstractTrainingSet,
+    children: Sequence[Tuple[Predicate, bool]],
+    method: str = "optimal",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar mirror of :func:`split_statistics` + :func:`leaf_exit_bounds`.
+
+    The property-test oracle: ``split_down`` and ``cprob_intervals`` one
+    child at a time, dropping empty children.
+    """
+    vectors = []
+    for predicate, branch in children:
+        child = trainset.split_down(predicate, branch)
+        if child.size > 0:
+            vectors.append(cprob_intervals(child, method))
+    return vector_bounds(vectors, trainset.dataset.n_classes)

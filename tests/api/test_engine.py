@@ -1,5 +1,7 @@
 """Tests for the unified CertificationEngine: dispatch, reuse, and budgets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.poisoning.models import (
     LabelFlipModel,
     RemovalPoisoningModel,
 )
+from repro.utils.memory import trace_allocations
 from repro.verify.result import VerificationResult, VerificationStatus
 from tests.conftest import well_separated_dataset
 
@@ -334,6 +337,28 @@ class TestResourceHandling:
         assert result.elapsed_seconds >= 0.0
         assert result.peak_memory_bytes >= 0
         assert isinstance(result, VerificationResult)
+
+    def test_certify_point_does_not_start_allocation_tracing(self, monkeypatch):
+        seen = []
+        original = CertificationEngine._run_domain
+
+        def recording(self, *args, **kwargs):
+            seen.append(tracemalloc.is_tracing())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CertificationEngine, "_run_domain", recording)
+        assert not tracemalloc.is_tracing()
+        engine = CertificationEngine(max_depth=2, domain="either")
+        result = engine.certify_point(figure2_dataset(), [5.0], 2)
+        assert seen and not any(seen)
+        assert result.peak_memory_bytes == 0
+
+    def test_peak_memory_measured_when_caller_traces(self):
+        engine = CertificationEngine(max_depth=2, domain="disjuncts")
+        with trace_allocations():
+            result = engine.certify_point(figure2_dataset(), [5.0], 2)
+        assert result.peak_memory_bytes > 0
+        assert not tracemalloc.is_tracing()
 
 
 class TestEmptyBatch:

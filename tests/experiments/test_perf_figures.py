@@ -37,6 +37,9 @@ class TestComputePerformanceFigure:
             assert 0 <= point.verified <= point.attempted
             assert point.average_seconds >= 0.0
             assert point.average_peak_memory_mb >= 0.0
+            if point.domain == "disjuncts":
+                # The grid traces allocations for its own run.
+                assert point.average_peak_memory_mb > 0.0
 
     def test_incremental_truncation(self):
         config = tiny_config().with_overrides(

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import SCHEMA_VERSION
+from repro.api import SCHEMA_VERSION, CertificationEngine
 from repro.poisoning.models import RemovalPoisoningModel
 from repro.service import (
     PROTOCOL_MINOR,
@@ -181,9 +181,19 @@ class TestRequestTimeout:
             for sock, _ in accepted:
                 sock.close()
 
-    def test_timeout_marks_client_broken(self, tcp_server):
+    def test_timeout_marks_client_broken(self, tcp_server, monkeypatch):
         # After a timeout the buffered reader may hold a half-read frame;
         # the client must refuse further use instead of desynchronizing.
+        # The server certifies in this process; holding every certification
+        # for 0.2 s makes the 10 ms deadline fire however fast the learners
+        # are.
+        certify_one = CertificationEngine._certify_one
+
+        def held(engine, *args, **kwargs):
+            time.sleep(0.2)
+            return certify_one(engine, *args, **kwargs)
+
+        monkeypatch.setattr(CertificationEngine, "_certify_one", held)
         with CertificationClient(
             tcp_server.address, request_timeout=30.0
         ) as client:
@@ -191,8 +201,6 @@ class TestRequestTimeout:
             client._sock.settimeout(0.01)
             client._request_timeout = 0.01
             with pytest.raises(RequestTimeoutError):
-                # The certify decode makes even a tiny request slower than
-                # 10ms end-to-end, so the deadline fires deterministically.
                 client.certify_batch(
                     well_separated_dataset(), POINTS, RemovalPoisoningModel(1)
                 )

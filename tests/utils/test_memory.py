@@ -3,32 +3,51 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from repro.utils.memory import MemoryBudget, MemoryTracker, peak_memory_bytes
+from repro.utils.memory import MemoryTracker, peak_memory_bytes, trace_allocations
 
 
 class TestMemoryTracker:
     def test_records_positive_peak_for_allocation(self):
-        with MemoryTracker() as tracker:
-            buffer = np.zeros(200_000)
-            assert buffer.size == 200_000
+        with trace_allocations():
+            with MemoryTracker() as tracker:
+                buffer = np.zeros(200_000)
+                assert buffer.size == 200_000
         assert tracker.peak_bytes > 100_000
         assert tracker.peak_megabytes > 0.0
 
-    def test_stops_tracing_it_started(self):
+    def test_never_starts_tracing(self):
         assert not tracemalloc.is_tracing()
-        with MemoryTracker():
-            pass
+        with MemoryTracker() as tracker:
+            assert not tracemalloc.is_tracing()
+            buffer = np.zeros(200_000)
+            assert buffer.size == 200_000
         assert not tracemalloc.is_tracing()
+        assert tracker.peak_bytes == 0
 
     def test_nested_trackers(self):
-        with MemoryTracker() as outer:
-            with MemoryTracker() as inner:
-                buffer = np.zeros(100_000)
-                assert buffer is not None
+        with trace_allocations():
+            with MemoryTracker() as outer:
+                with MemoryTracker() as inner:
+                    buffer = np.zeros(100_000)
+                    assert buffer is not None
         assert inner.peak_bytes > 0
         assert outer.peak_bytes >= 0
+
+
+class TestTraceAllocations:
+    def test_stops_tracing_it_started(self):
+        assert not tracemalloc.is_tracing()
+        with trace_allocations():
+            assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
+
+    def test_leaves_existing_trace_running(self):
+        with trace_allocations():
+            with trace_allocations():
+                pass
+            assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
 
 
 class TestPeakMemoryBytes:
@@ -37,18 +56,6 @@ class TestPeakMemoryBytes:
         assert peak_memory_bytes() == 0
 
     def test_positive_when_tracing(self):
-        with MemoryTracker():
+        with trace_allocations():
             _ = np.zeros(50_000)
             assert peak_memory_bytes() > 0
-
-
-class TestMemoryBudget:
-    def test_unlimited_accepts_anything(self):
-        MemoryBudget(None).check(10**12)
-
-    def test_raises_when_exceeded(self):
-        with pytest.raises(MemoryError):
-            MemoryBudget(limit_bytes=100).check(200)
-
-    def test_passes_under_limit(self):
-        MemoryBudget(limit_bytes=1000).check(200)

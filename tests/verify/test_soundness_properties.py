@@ -14,11 +14,19 @@ import pytest
 from repro.core.trace_learner import TraceLearner
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.attacks import greedy_removal_attack, random_removal_attack
+from repro.poisoning.label_flip import (
+    FlipAbstractTrainingSet,
+    enumerate_composite_poisonings,
+)
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.enumeration import verify_by_enumeration
 from repro.verify.robustness import PoisoningVerifier
-from tests.conftest import random_small_dataset, random_test_point
+from tests.conftest import (
+    random_small_dataset,
+    random_test_point,
+    well_separated_dataset,
+)
 
 
 def _scenario(seed: int):
@@ -28,6 +36,17 @@ def _scenario(seed: int):
     n = int(rng.integers(1, 3))
     depth = int(rng.integers(1, 4))
     return rng, dataset, x, n, depth
+
+
+def _flip_scenario(seed: int):
+    """Two separated 1-D clusters (small enough to enumerate ``Δ_{r,f}``)
+    and a test point inside one of them."""
+    rng = np.random.default_rng(seed)
+    dataset = well_separated_dataset(per_class=int(rng.integers(6, 10)))
+    x = [float(rng.uniform(-0.5, 2.5) + 10.0 * rng.integers(0, 2))]
+    removals, flips = int(rng.integers(0, 2)), int(rng.integers(1, 3))
+    depth = int(rng.integers(1, 3))
+    return dataset, x, removals, flips, depth
 
 
 class TestCertificationImpliesRobustness:
@@ -64,10 +83,15 @@ class TestCertificationImpliesRobustness:
                 assert interval.lo - 1e-9 <= probability <= interval.hi + 1e-9
 
     @pytest.mark.parametrize("seed", range(40, 55))
-    def test_disjunctive_certification_matches_every_concrete_prediction(self, seed):
+    @pytest.mark.parametrize("cprob_method", ["optimal", "box"])
+    def test_disjunctive_certification_matches_every_concrete_prediction(
+        self, seed, cprob_method
+    ):
         _, dataset, x, n, depth = _scenario(seed)
         trainset = AbstractTrainingSet.full(dataset, n)
-        learner = DisjunctiveAbstractLearner(max_depth=depth, max_disjuncts=50_000)
+        learner = DisjunctiveAbstractLearner(
+            max_depth=depth, cprob_method=cprob_method, max_disjuncts=50_000
+        )
         run = learner.run(trainset, x)
         if run.robust_class is None:
             return
@@ -77,6 +101,38 @@ class TestCertificationImpliesRobustness:
             if len(subset) == 0:
                 continue
             assert concrete_learner.predict(subset, x) == run.robust_class
+
+    @pytest.mark.parametrize("seed", range(80, 104))
+    @pytest.mark.parametrize("cprob_method", ["optimal", "box"])
+    def test_disjunctive_flip_certification_matches_every_concrete_prediction(
+        self, seed, cprob_method
+    ):
+        """The same guarantee for the composite removal + label-flip family."""
+        dataset, x, removals, flips, depth = _flip_scenario(seed)
+        learner = DisjunctiveAbstractLearner(
+            max_depth=depth, cprob_method=cprob_method, max_disjuncts=50_000
+        )
+        run = learner.run(FlipAbstractTrainingSet.full(dataset, removals, flips), x)
+        if run.robust_class is None:
+            return
+        concrete_learner = TraceLearner(max_depth=depth)
+        for poisoned in enumerate_composite_poisonings(dataset, removals, flips):
+            assert concrete_learner.predict(poisoned, x) == run.robust_class
+
+    @pytest.mark.parametrize("cprob_method", ["optimal", "box"])
+    def test_flip_scenarios_include_certified_points(self, cprob_method):
+        """Keeps the flip soundness test above from passing vacuously."""
+        certified = 0
+        for seed in range(80, 104):
+            dataset, x, removals, flips, depth = _flip_scenario(seed)
+            learner = DisjunctiveAbstractLearner(
+                max_depth=depth, cprob_method=cprob_method, max_disjuncts=50_000
+            )
+            run = learner.run(
+                FlipAbstractTrainingSet.full(dataset, removals, flips), x
+            )
+            certified += run.robust_class is not None
+        assert certified > 0
 
 
 class TestAttackVerifierConsistency:

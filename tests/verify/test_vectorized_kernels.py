@@ -9,6 +9,12 @@ bitwise-tolerant agreement, so any future vectorization change that drifts
 from the defined transformer semantics fails here before it can weaken a
 soundness bound.
 
+The disjunctive learner's batched last level is held to bit-for-bit
+agreement: `leaf_exit_bounds` over `split_statistics` must equal
+`leaf_exit_bounds_reference` (one `split_down` + `cprob_intervals` per
+child), and the array helpers `dominating_components` / `join_bounds` must
+equal `dominating_component` / folded `join_interval_vectors` row by row.
+
 The warm-start layer gets the same treatment: a replayed
 :class:`~repro.verify.trace.TraceStep` must reproduce the real ``filter#``
 kernel exactly at *every* budget (the replay is pure budget arithmetic over
@@ -21,6 +27,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import CertificationEngine
+from repro.core import split_plan
+from repro.core.predicates import (
+    EqualityPredicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+)
+from repro.domains.interval import (
+    Interval,
+    dominating_component,
+    dominating_components,
+    join_bounds,
+    join_interval_vectors,
+)
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
@@ -32,7 +51,11 @@ from repro.verify.trace import filter_abstract_traced
 from repro.verify.transformers import (
     _side_score_bounds,
     _side_score_bounds_reference,
+    _table_positions,
     best_split_abstract,
+    leaf_exit_bounds,
+    leaf_exit_bounds_reference,
+    split_statistics,
 )
 from tests.conftest import random_small_dataset, random_test_point
 
@@ -110,6 +133,153 @@ class TestFlipSplitScoreBounds:
         ref_lower, ref_upper = _flip_split_score_bounds_reference(*args)
         np.testing.assert_allclose(lower, ref_lower, atol=TOL)
         np.testing.assert_allclose(upper, ref_upper, atol=TOL)
+
+
+@st.composite
+def leaf_levels(draw):
+    """A random node ``⟨T, n⟩`` or ``⟨T, r, f⟩`` plus children to score.
+
+    Children mix the node's own split-table candidates (symbolic and
+    threshold, the predicates ``bestSplit#`` returns), arbitrary thresholds
+    and symbolic ranges (some off the table, some with an empty side) and
+    equality predicates, each on one branch or both (a *maybe* verdict).
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    dataset = random_small_dataset(
+        rng,
+        n_samples=draw(st.integers(min_value=3, max_value=14)),
+        n_classes=draw(st.integers(min_value=2, max_value=3)),
+    )
+    keep = draw(
+        st.lists(st.booleans(), min_size=len(dataset), max_size=len(dataset))
+    )
+    indices = np.flatnonzero(keep)
+    if indices.size == 0:
+        indices = np.arange(len(dataset))
+    removals = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        flips = draw(st.integers(min_value=0, max_value=3))
+        state = FlipAbstractTrainingSet(dataset, indices, removals, flips)
+    else:
+        state = AbstractTrainingSet(dataset, indices, removals)
+
+    tables = split_plan.plan_for(dataset).node_tables(state.indices)
+    values = sorted({float(v) for v in dataset.X.ravel()})
+    value = st.sampled_from(values + [values[0] - 1.0, values[-1] + 1.0])
+    predicates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        feature = draw(st.integers(min_value=0, max_value=dataset.n_features - 1))
+        table = tables[feature]
+        kind = draw(st.sampled_from(["table", "threshold", "symbolic", "equality"]))
+        if kind == "table" and table.n_candidates:
+            i = draw(st.integers(min_value=0, max_value=table.n_candidates - 1))
+            if draw(st.booleans()):
+                predicates.append(
+                    split_plan.symbolic_predicate(
+                        feature,
+                        float(table.lower_values[i]),
+                        float(table.upper_values[i]),
+                    )
+                )
+            else:
+                predicates.append(
+                    split_plan.threshold_predicate(feature, float(table.thresholds[i]))
+                )
+        elif kind == "symbolic":
+            low, high = sorted((draw(value), draw(value)))
+            if low < high:
+                predicates.append(SymbolicThresholdPredicate(feature, low, high))
+        elif kind == "equality":
+            predicates.append(EqualityPredicate(feature, draw(value)))
+        else:
+            predicates.append(ThresholdPredicate(feature, draw(value)))
+    children = []
+    for predicate in predicates:
+        for branch in draw(st.sampled_from([(True,), (False,), (True, False)])):
+            children.append((predicate, branch))
+    return state, children
+
+
+class TestLeafExitBounds:
+    """The batched last level of the disjunctive learner vs per-child cprob#."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(leaf_levels(), st.sampled_from(["optimal", "box"]))
+    def test_matches_reference_bit_for_bit(self, level, method):
+        state, children = level
+        lower, upper = leaf_exit_bounds(
+            state, split_statistics(state, children), method
+        )
+        ref_lower, ref_upper = leaf_exit_bounds_reference(state, children, method)
+        np.testing.assert_array_equal(lower, ref_lower)
+        np.testing.assert_array_equal(upper, ref_upper)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("method", ["optimal", "box"])
+    def test_best_split_children_are_read_from_the_table(self, seed, method):
+        rng = np.random.default_rng(seed)
+        dataset = random_small_dataset(rng, n_samples=int(rng.integers(8, 20)))
+        state = _flip_state(dataset, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        if seed % 2:
+            state = _removal_state(dataset, int(rng.integers(0, 3)))
+        predicates = best_split_abstract(state, method=method).without_null()
+        children = [
+            (predicate, branch)
+            for predicate in predicates.predicates
+            for branch in (True, False)
+        ]
+        tables = split_plan.plan_for(dataset).node_tables(state.indices)
+        assert (_table_positions(tables, predicates.predicates) >= 0).all()
+        statistics = split_statistics(state, children)
+        assert statistics[0].shape[0] == len(children)  # no empty side
+        lower, upper = leaf_exit_bounds(state, statistics, method)
+        ref_lower, ref_upper = leaf_exit_bounds_reference(state, children, method)
+        np.testing.assert_array_equal(lower, ref_lower)
+        np.testing.assert_array_equal(upper, ref_upper)
+
+
+@st.composite
+def interval_rows(draw):
+    """``(e, k)`` bound arrays on a coarse grid, so ties are common."""
+    e = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=4))
+    lower = np.empty((e, k))
+    upper = np.empty((e, k))
+    for r in range(e):
+        for c in range(k):
+            a, b = sorted(
+                (draw(st.integers(0, 8)) / 8.0, draw(st.integers(0, 8)) / 8.0)
+            )
+            lower[r, c], upper[r, c] = a, b
+    return lower, upper
+
+
+def _vectors(lower, upper):
+    return [
+        tuple(Interval(lo, hi) for lo, hi in zip(row_lo, row_hi))
+        for row_lo, row_hi in zip(lower.tolist(), upper.tolist())
+    ]
+
+
+class TestIntervalRowHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(interval_rows())
+    def test_dominating_components_matches_scalar(self, rows):
+        lower, upper = rows
+        expected = [dominating_component(vector) for vector in _vectors(lower, upper)]
+        got = dominating_components(lower, upper).tolist()
+        assert got == [-1 if index is None else index for index in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_rows())
+    def test_join_bounds_matches_folded_join(self, rows):
+        lower, upper = rows
+        vectors = _vectors(lower, upper)
+        expected = vectors[0]
+        for vector in vectors[1:]:
+            expected = join_interval_vectors(expected, vector)
+        assert join_bounds(lower, upper) == expected
 
 
 def _removal_state(dataset, budget):
