@@ -11,12 +11,15 @@ where it is.
 
 The shard key is the SHA-256 of the request's **dataset wire payload**
 (canonical JSON), not the decoded dataset's content fingerprint: the router
-routes without decoding inline arrays or resolving registry references.  The
-trade-off is explicit — the inline and ref spellings of the same dataset
-hash to different keys and may land on different shards; within one
-spelling, placement is exact.  Servers key their own decoded-dataset LRU by
-the identical digest (``CertificationServer.dataset_for``), so router and
-backend agree on identity for free.
+routes without decoding inline arrays or resolving registry references.
+Inline arrays travel as one base64 string each (protocol 2, see
+:mod:`repro.service.protocol`), so the canonical dump re-serializes a few
+strings rather than one JSON number per cell.  The trade-off is explicit —
+the inline and ref spellings of the same dataset hash to different keys and
+may land on different shards; within one spelling, placement is exact.
+Servers key their own decoded-dataset LRU by the identical digest
+(``CertificationServer.dataset_for``), so router and backend agree on
+identity for free.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ carrying a correlation id in ``"rid"`` (minor protocol revision 1): the
 server binds it for the duration of the operation so structured log events
 (:mod:`repro.telemetry.events`) and stored span trees on both sides of the
 socket share one request id.  Servers ignore an absent ``rid``; clients
-ignore the minor revision of older servers — the field is additive, so the
-major version stays 1.  Most operations
+ignore the minor revision of older servers — the field is additive.  Most
+operations
 answer with a single ``{"id": N, "ok": true, "result": {...}}`` frame (or
 ``{"id": N, "ok": false, "error": {"type": ..., "message": ...}}``);
 ``certify_stream`` answers with a sequence of
@@ -27,9 +27,20 @@ incrementally exactly like the in-process stream.
 Datasets travel either **by reference** (``{"ref": {"name", "scale",
 "seed"}}`` — resolved through the benchmark registry server-side, so only a
 few bytes cross the socket) or **inline** (``{"inline": {...}}`` — full
-arrays for datasets the server has never seen).  Threat models and engine
-configurations have small explicit wire forms; predicate pools are not
-representable over the wire.
+arrays for datasets the server has never seen).  Inline arrays are not JSON
+number lists: each is ``{"shape": [n, d], "f8": "<base64>"}`` (``"i8"`` for
+the labels), the base64 of its little-endian float64 (int64) bytes.  Every
+hop — client encode, router parse and ``shard_key``, server parse and
+``dataset_for`` hash — then handles one string instead of one JSON number
+per cell, and the round trip is exact to the bit.  This form is protocol
+version 2; a list-valued inline array is rejected, and version-1 peers are
+refused at ``hello``.  Non-finite cells are rejected on both ends, as are
+non-finite certify points.  The frame bound trades differently: base64
+float64 costs 32/3 bytes per cell, so an inline ``X`` holds up to about
+6.3M cells under :data:`MAX_FRAME_BYTES` — fewer than JSON lists of 0/1
+data (4 bytes per cell), more than full-precision reals (about 20).
+Threat models and engine configurations have small explicit wire forms;
+predicate pools are not representable over the wire.
 
 The ``metrics`` op exposes the server process's telemetry registry
 (:mod:`repro.telemetry`).  Its payload carries its own
@@ -49,8 +60,10 @@ for trees to be retained.
 
 from __future__ import annotations
 
+import base64
 import io
 import json
+import math
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -66,13 +79,15 @@ from repro.poisoning.models import (
 )
 
 #: Version of the framing + operation vocabulary.  Bumped on incompatible
-#: changes; servers reject hellos from a different major version.
-PROTOCOL_VERSION = 1
+#: changes; servers and routers reject hellos from a different major
+#: version.  2: inline dataset arrays travel as base64 (see module docstring).
+PROTOCOL_VERSION = 2
 
-#: Additive revision within the major version: 1 added the optional ``rid``
-#: request-frame field and the ``trace`` op; 2 added the TCP transport,
-#: backend identity (``backend_id`` in the ``hello`` result) and the cache
-#: replication ops (``cache_probe`` / ``cache_fetch`` / ``cache_ingest``).
+#: Additive revision: 1 added the optional ``rid`` request-frame field and
+#: the ``trace`` op; 2 added the TCP transport, backend identity
+#: (``backend_id`` in the ``hello`` result) and the cache replication ops
+#: (``cache_probe`` / ``cache_fetch`` / ``cache_ingest``).  Major version 2
+#: keeps all of them, so the count carries on rather than restarting.
 #: Informational — peers never reject on a minor mismatch.
 PROTOCOL_MINOR = 2
 
@@ -82,6 +97,9 @@ METRICS_VERSION = 1
 #: Hard bound on one frame (64 MiB): large enough for an inline MNIST-scale
 #: dataset, small enough that a garbage byte stream cannot balloon memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Wire key of an inline array → its little-endian element dtype.
+_WIRE_DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8")}
 
 #: Engine-configuration facets that travel over the wire (everything that can
 #: change a verdict or a timeout; ``predicate_pool`` deliberately excluded).
@@ -207,8 +225,8 @@ def dataset_to_wire(dataset: Union[Dataset, Mapping]) -> dict:
         return {
             "inline": {
                 "name": dataset.name,
-                "X": dataset.X.tolist(),
-                "y": dataset.y.tolist(),
+                "X": _array_to_wire(dataset.X, "f8"),
+                "y": _array_to_wire(dataset.y, "i8"),
                 "n_classes": dataset.n_classes,
                 "feature_kinds": [kind.value for kind in dataset.feature_kinds],
                 "feature_names": list(dataset.feature_names),
@@ -244,8 +262,8 @@ def dataset_from_wire(payload: Mapping) -> Dataset:
     if "inline" in payload:
         inline = payload["inline"]
         return Dataset(
-            X=np.asarray(inline["X"], dtype=float),
-            y=np.asarray(inline["y"], dtype=np.int64),
+            X=_array_from_wire(inline.get("X"), "f8"),
+            y=_array_from_wire(inline.get("y"), "i8"),
             n_classes=int(inline.get("n_classes", 0)),
             feature_kinds=tuple(
                 FeatureKind(kind) for kind in inline.get("feature_kinds", ())
@@ -255,6 +273,64 @@ def dataset_from_wire(payload: Mapping) -> Dataset:
             name=str(inline.get("name", "dataset")),
         )
     raise ProtocolError("dataset payload must carry 'ref' or 'inline'")
+
+
+def points_from_wire(payload: object) -> np.ndarray:
+    """Decode certify points (JSON numbers), rejecting non-finite values.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity`` tokens (and overflows
+    ``1e999`` to infinity), so a raw frame can carry what
+    :func:`encode_frame` never emits.
+    """
+    try:
+        points = np.asarray(payload, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"points must be numbers: {error}") from error
+    if not np.isfinite(points).all():
+        raise ProtocolError("points must be finite (no NaN or infinity)")
+    return points
+
+
+def _array_to_wire(array: np.ndarray, code: str) -> dict:
+    """``{"shape": [...], code: base64}`` of ``array``'s little-endian bytes."""
+    data = np.ascontiguousarray(array, dtype=_WIRE_DTYPES[code])
+    if code == "f8" and not np.isfinite(data).all():
+        raise ProtocolError("inline arrays must be finite (no NaN or infinity)")
+    return {
+        "shape": list(data.shape),
+        code: base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def _array_from_wire(payload: object, code: str) -> np.ndarray:
+    """Decode one :func:`_array_to_wire` form, checking every field."""
+    if not isinstance(payload, Mapping):
+        raise ProtocolError(
+            f"inline arrays travel as {{'shape', {code!r}}} objects "
+            f"(protocol {PROTOCOL_VERSION}), got {type(payload).__name__}"
+        )
+    shape = payload.get("shape")
+    if not isinstance(shape, list) or not all(
+        type(extent) is int and extent >= 0 for extent in shape
+    ):
+        raise ProtocolError(f"inline array shape must be a list of sizes, got {shape!r}")
+    text = payload.get(code)
+    if not isinstance(text, str):
+        raise ProtocolError(f"inline array must carry a base64 {code!r} string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise ProtocolError(f"inline array is not valid base64: {error}") from error
+    dtype = _WIRE_DTYPES[code]
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise ProtocolError(
+            f"inline array has {len(raw)} bytes, shape {shape} needs {expected}"
+        )
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if code == "f8" and not np.isfinite(array).all():
+        raise ProtocolError("inline arrays must be finite (no NaN or infinity)")
+    return array
 
 
 # ------------------------------------------------------------------- models

@@ -47,8 +47,6 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 import repro
 from repro.api.engine import CertificationEngine
 from repro.api.report import SCHEMA_VERSION
@@ -76,6 +74,7 @@ from repro.service.protocol import (
     format_address,
     model_from_wire,
     parse_address,
+    points_from_wire,
     read_frame,
 )
 from repro.telemetry import events, metrics, tracing
@@ -485,7 +484,7 @@ class CertificationServer:
     def _op_max_certified(self, params: dict) -> dict:
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))
         dataset = self.dataset_for(params["dataset"])
-        x = np.asarray(params["point"], dtype=float)
+        x = points_from_wire(params["point"])
         outcome = self.runtime.max_certified(
             engine,
             dataset,
@@ -507,7 +506,7 @@ class CertificationServer:
     def _op_pareto_frontier(self, params: dict) -> dict:
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))
         dataset = self.dataset_for(params["dataset"])
-        x = np.asarray(params["point"], dtype=float)
+        x = points_from_wire(params["point"])
         outcome = self.runtime.pareto_frontier(
             engine,
             dataset,
@@ -525,7 +524,7 @@ class CertificationServer:
     def _op_pareto_sweep(self, params: dict) -> dict:
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))
         dataset = self.dataset_for(params["dataset"])
-        points = np.asarray(params["points"], dtype=float)
+        points = points_from_wire(params["points"])
         outcomes = self.runtime.pareto_sweep(
             engine,
             dataset,
@@ -589,7 +588,7 @@ class CertificationServer:
         dataset_fp = fingerprint_dataset(dataset)
         engine_key = engine_cache_key(engine)
         monotone = monotone_in_budget(model)
-        points = np.asarray(params["points"], dtype=float)
+        points = points_from_wire(params["points"])
         if points.ndim == 1:
             points = points.reshape(1, -1)
         cache = self.runtime.cache
@@ -793,7 +792,7 @@ class CertificationServer:
         model = model_from_wire(params.get("model"))
         if model is None:
             raise ProtocolError("certify requests must carry a threat model")
-        points = np.asarray(params["points"], dtype=float)
+        points = points_from_wire(params["points"])
         request = CertificationRequest(dataset, points, model)
         return engine, request, max(1, int(params.get("n_jobs", 1)))
 

@@ -65,6 +65,12 @@ class TestRouting:
             assert info["protocol"] == PROTOCOL_VERSION
             assert sorted(info["backends"]) == sorted([s1.address, s2.address])
 
+    def test_protocol_1_hello_refused(self, fleet):
+        router, _, _ = fleet
+        with CertificationClient(router.address) as client:
+            with pytest.raises(RemoteError, match="protocol 1"):
+                client.call("hello", {"protocol": 1})
+
     def test_warm_rerun_hits_the_same_shard(self, fleet):
         """Acceptance: repeated requests for a dataset land on one backend."""
         router, s1, s2 = fleet
@@ -254,19 +260,25 @@ class TestFailover:
     def _fleet_with_flaky_primary(self, tmp_path, dataset, results_wire):
         """A (flaky, real) pair where the *flaky* node owns the dataset.
 
-        The flaky backend's ephemeral port changes the ring layout; re-bind
-        until the ring puts the dataset's shard on the flaky node (p=1/2
-        per attempt, so a handful of tries suffice deterministically).
+        The flaky backend's ephemeral port changes the ring layout; draw
+        backends until the ring puts the dataset's shard on a flaky node
+        (p=1/2 per draw).  Every draw stays bound until then, so the kernel
+        cannot hand the same port back and repeat a losing layout.
         """
         real = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "real")
         real.start()
         key = shard_key(dataset_to_wire(dataset))
-        for _ in range(64):
-            flaky = FlakyBackend(results_wire, die_after=1)
-            ring = HashRing([flaky.address, real.address])
-            if ring.primary(key) == flaky.address:
-                return flaky, real
-            flaky.close()
+        drawn = []
+        try:
+            for _ in range(64):
+                flaky = FlakyBackend(results_wire, die_after=1)
+                drawn.append(flaky)
+                if HashRing([flaky.address, real.address]).primary(key) == flaky.address:
+                    drawn.pop()
+                    return flaky, real
+        finally:
+            for reject in drawn:
+                reject.close()
         real.close()
         raise AssertionError("could not place the flaky backend as shard owner")
 
@@ -320,20 +332,29 @@ class TestFailover:
         real.start()
         dataset = well_separated_dataset()
         key = shard_key(dataset_to_wire(dataset))
-        # A port with nothing behind it: every connect is refused.  Re-bind
+        # A port bound but never listening: every connect is refused.  Draw
         # until the dead port *owns* the dataset's shard, so the first
         # request deterministically hits the corpse and fails over (the
         # alternative layout would leave liveness to the health-probe race).
+        # Every draw stays bound until then, so no port comes back twice;
+        # the owner stays bound for the whole test, so neither the router's
+        # listener nor an outgoing connection can take its port.
+        probes = []
         for _ in range(64):
             probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             probe.bind(("127.0.0.1", 0))
+            probes.append(probe)
             dead_address = "127.0.0.1:%d" % probe.getsockname()[1]
-            probe.close()
             if HashRing([dead_address, real.address]).primary(key) == dead_address:
                 break
         else:
+            for probe in probes:
+                probe.close()
             real.close()
             raise AssertionError("could not place the dead port as shard owner")
+        dead = probes.pop()
+        for reject in probes:
+            reject.close()
         router = CertificationRouter(
             [dead_address, real.address],
             tcp="127.0.0.1:0",
@@ -358,3 +379,4 @@ class TestFailover:
         finally:
             router.close()
             real.close()
+            dead.close()

@@ -1,9 +1,14 @@
 """Tests for the JSON-lines wire protocol (framing + wire forms)."""
 
+import base64
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.dataset import Dataset, FeatureKind
 from repro.poisoning.models import (
@@ -23,8 +28,20 @@ from repro.service.protocol import (
     engine_config_to_wire,
     model_from_wire,
     model_to_wire,
+    points_from_wire,
     read_frame,
 )
+
+#: Finite float64 cells, weighted towards the edges of the format.
+_EDGE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _inline(dataset):
+    """The inline wire payload of ``dataset``, re-parsed as a peer sees it."""
+    return json.loads(encode_frame(dataset_to_wire(dataset)))
 
 
 class TestFraming:
@@ -79,11 +96,87 @@ class TestDatasetWire:
         local = load_dataset("iris", scale=0.3, seed=1).train
         assert fingerprint_dataset(decoded) == fingerprint_dataset(local)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 4)),
+            elements=_EDGE_CELLS,
+        )
+    )
+    @example(np.zeros((0, 3)))
+    @example(np.array([[-0.0], [5e-324], [1e308], [-1e308]]))
+    def test_inline_round_trip_is_bit_exact(self, X):
+        dataset = Dataset(X=X, y=np.arange(len(X)) % 2, n_classes=2)
+        decoded = dataset_from_wire(_inline(dataset))
+        assert decoded.X.shape == X.shape
+        assert decoded.X.tobytes() == X.tobytes()  # keeps -0.0 and subnormals
+        assert decoded.y.tobytes() == dataset.y.tobytes()
+
+    def test_inline_arrays_travel_as_base64(self):
+        payload = _inline(Dataset(X=np.eye(3), y=np.array([0, 1, 1])))["inline"]
+        assert payload["X"]["shape"] == [3, 3]
+        assert isinstance(payload["X"]["f8"], str)
+        assert payload["y"]["shape"] == [3]
+        assert isinstance(payload["y"]["i8"], str)
+
+    def test_non_finite_cells_rejected_on_encode(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.array([[0.0], [bad]])
+            with pytest.raises(ProtocolError, match="finite"):
+                dataset_to_wire(Dataset(X=X, y=np.array([0, 1])))
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda X: X.update(f8="not*base64!"), "base64"),
+            (lambda X: X.update(f8=X["f8"][:-4]), "bytes"),
+            (lambda X: X.update(shape=[4, 2]), "bytes"),
+            (lambda X: X.update(shape=[3, -2]), "shape"),
+            (lambda X: X.pop("f8"), "base64"),
+            (lambda X: X.pop("shape"), "shape"),
+        ],
+        ids=["bad-base64", "short-bytes", "shape-mismatch", "negative-extent",
+             "missing-data", "missing-shape"],
+    )
+    def test_malformed_inline_arrays_rejected(self, mutate, match):
+        payload = _inline(Dataset(X=np.arange(6.0).reshape(3, 2), y=np.array([0, 1, 1])))
+        mutate(payload["inline"]["X"])
+        with pytest.raises(ProtocolError, match=match):
+            dataset_from_wire(payload)
+
+    def test_list_valued_inline_arrays_rejected(self):
+        # Protocol 1's form: JSON number lists.  There is no fallback.
+        payload = _inline(Dataset(X=np.eye(2), y=np.array([0, 1])))
+        payload["inline"]["X"] = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ProtocolError, match="objects"):
+            dataset_from_wire(payload)
+
+    def test_non_finite_cells_rejected_on_decode(self):
+        # json.loads accepts NaN/Infinity tokens; a hand-built frame can
+        # therefore carry them even though encode_frame never would.
+        payload = _inline(Dataset(X=np.eye(2), y=np.array([0, 1])))
+        nan_bytes = np.array([[np.nan, 0.0], [0.0, 1.0]]).astype("<f8").tobytes()
+        payload["inline"]["X"]["f8"] = base64.b64encode(nan_bytes).decode()
+        with pytest.raises(ProtocolError, match="finite"):
+            dataset_from_wire(payload)
+
     def test_rejects_unknown_shapes(self):
         with pytest.raises(ProtocolError):
             dataset_to_wire({"no_name": True})
         with pytest.raises(ProtocolError):
             dataset_from_wire({"neither": {}})
+
+
+class TestPointsWire:
+    def test_finite_points_decode(self):
+        assert points_from_wire([[0.5, -0.0], [1e308, 2.0]]).shape == (2, 2)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_points_rejected(self, token):
+        points = json.loads(f"[[0.5, {token}]]")
+        with pytest.raises(ProtocolError, match="finite"):
+            points_from_wire(points)
 
 
 class TestModelWire:

@@ -7,6 +7,8 @@ address parsing, keepalive sockets, half-open servers (accepts but never
 answers), and connect retry against a late-binding listener.
 """
 
+import base64
+import json
 import socket
 import threading
 import time
@@ -28,7 +30,7 @@ from repro.service import (
     parse_address,
     wait_for_server,
 )
-from repro.service.protocol import encode_frame, read_frame
+from repro.service.protocol import dataset_to_wire, encode_frame, read_frame
 from tests.conftest import well_separated_dataset
 
 POINTS = np.array([[0.5], [11.0]])
@@ -99,6 +101,12 @@ class TestTCPHandshake:
             with CertificationClient(tcp_server.address) as raw:
                 raw._call("hello", {"protocol": 999})
 
+    def test_protocol_1_hello_refused(self, tcp_client):
+        # Version 1 sent inline arrays as JSON lists; a version-1 peer must
+        # fail at the handshake, not mid-request.
+        with pytest.raises(RemoteError, match="protocol 1"):
+            tcp_client.call("hello", {"protocol": 1})
+
     def test_certify_round_trip_over_tcp(self, tcp_client):
         dataset = well_separated_dataset()
         report = tcp_client.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
@@ -153,6 +161,61 @@ class TestMalformedFrames:
             assert frame["ok"] is False
             sock.sendall(encode_frame({"id": 3, "op": "ping"}))
             assert read_frame(reader)["result"]["pong"] is True
+
+
+class TestNonFiniteRequests:
+    """Values ``json.loads`` accepts but no verdict is defined for.
+
+    ``NaN``/``Infinity`` tokens parse to non-finite floats;
+    each request carrying one must earn an error frame on a connection that
+    stays usable.
+    """
+
+    @staticmethod
+    def _send(sock, reader, frame_id, op, params):
+        line = json.dumps({"id": frame_id, "op": op, "params": params})
+        sock.sendall(line.encode() + b"\n")
+        return read_frame(reader)
+
+    @staticmethod
+    def _params(point, X=None):
+        dataset = dataset_to_wire(well_separated_dataset())
+        if X is not None:
+            dataset["inline"]["X"] = X
+        return {
+            "engine": {"max_depth": 1, "domain": "box"},
+            "dataset": dataset,
+            "model": {"family": "removal", "n": 1},
+            "points": [point],
+            "point": point,
+        }
+
+    @pytest.mark.parametrize("op", ["certify", "cache_probe", "max_certified"])
+    @pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_point_rejected(self, tcp_server, op, token):
+        self._assert_rejected(tcp_server, op, self._params([token]), "finite")
+
+    def test_non_finite_inline_cell_rejected(self, tcp_server):
+        cells = np.zeros((2, 1))
+        cells[1, 0] = np.nan
+        X = {"shape": [2, 1], "f8": base64.b64encode(cells.tobytes()).decode()}
+        self._assert_rejected(tcp_server, "certify", self._params([0.5], X=X), "finite")
+
+    def test_list_valued_inline_array_rejected(self, tcp_server):
+        params = self._params([0.5], X=[[0.0], [float("nan")]])
+        self._assert_rejected(tcp_server, "certify", params, "objects")
+
+    def _assert_rejected(self, server, op, params, match):
+        family, target = parse_address(server.address)
+        with socket.create_connection(target, timeout=30) as sock:
+            reader = sock.makefile("rb")
+            frame = self._send(sock, reader, 1, op, params)
+            assert frame["id"] == 1
+            assert frame["ok"] is False
+            assert frame["error"]["type"] == "ProtocolError"
+            assert match in frame["error"]["message"]
+            frame = self._send(sock, reader, 2, "ping", {})
+            assert frame["result"]["pong"] is True
 
 
 class TestRequestTimeout:
