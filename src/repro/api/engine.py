@@ -66,7 +66,7 @@ from repro.telemetry import events, metrics, tracing
 from repro.telemetry import profiling
 from repro.utils.memory import MemoryTracker
 from repro.utils.timing import Stopwatch, TimeBudget, TimeoutExceeded
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_finite_points
 from repro.verify.abstract_learner import AbstractRunResult, BoxAbstractLearner
 from repro.verify.disjunctive_learner import (
     DisjunctBudgetExceeded,
@@ -513,9 +513,8 @@ class CertificationEngine:
         model = resolve_model_classes(as_perturbation_model(model), dataset.n_classes)
         if self.runtime is not None:
             return self.runtime.certify_point(self, dataset, x, model)
-        return self._certify_one(
-            dataset, np.asarray(x, dtype=float), model, self._plan_for(dataset, model)
-        )
+        x = check_finite_points(np.asarray(x, dtype=float))
+        return self._certify_one(dataset, x, model, self._plan_for(dataset, model))
 
     def max_certified(
         self,

@@ -22,7 +22,7 @@ from repro.poisoning.models import (
     RemovalPoisoningModel,
     resolve_model_classes,
 )
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_finite_points
 
 #: Anything accepted where a threat model is expected: a model instance, or a
 #: bare integer which is interpreted as the paper's ``Δn`` removal model.
@@ -84,6 +84,7 @@ class CertificationRequest:
                 f"points have {points.shape[1]} features but the dataset has "
                 f"{self.dataset.n_features}"
             )
+        check_finite_points(points)
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(

@@ -10,10 +10,19 @@ for an interval of concrete thresholds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, Tuple, cast
 
-from repro.core.predicates import Predicate, Trilean, point_satisfies
+import numpy as np
+
+from repro.core.predicates import (
+    EqualityPredicate,
+    Predicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+)
 
 
 @dataclass(frozen=True)
@@ -75,33 +84,65 @@ class AbstractPredicateSet:
         return AbstractPredicateSet(predicates=self.predicates, includes_null=True)
 
     # -------------------------------------------------------- point filtering
+    @cached_property
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The predicates as arrays ``(feature, low, high, symbolic, equality)``.
+
+        A symbolic ``x_i <= [a, b)`` has ``low = a`` and ``high = b``; a
+        threshold ``x_i <= τ`` or an equality ``x_i == v`` has
+        ``low = high = τ`` (resp. ``v``).
+        """
+        predicates = self.predicates
+        low = [
+            p.low if isinstance(p, SymbolicThresholdPredicate)
+            else p.threshold if isinstance(p, ThresholdPredicate)
+            else cast(EqualityPredicate, p).value
+            for p in predicates
+        ]
+        high = [getattr(p, "high", bound) for p, bound in zip(predicates, low)]
+        return (
+            np.array([p.feature for p in predicates], dtype=np.int64),
+            np.array(low, dtype=np.float64),
+            np.array(high, dtype=np.float64),
+            np.array(
+                [isinstance(p, SymbolicThresholdPredicate) for p in predicates], dtype=bool
+            ),
+            np.array([isinstance(p, EqualityPredicate) for p in predicates], dtype=bool),
+        )
+
+    def point_sides(self, x: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """Whether ``x`` possibly satisfies / possibly falsifies each predicate.
+
+        The three-valued semantics of ``filter#_R`` (Appendix B) as two
+        boolean arrays over :attr:`predicates`: a symbolic predicate that
+        evaluates to *maybe* is possibly both; a concrete one is exactly one.
+        """
+        features, low, high, symbolic, equality = self.arrays
+        values = np.asarray(x, dtype=np.float64)[features]
+        satisfied = values <= low
+        if equality.any():
+            satisfied[equality] = values[equality] == low[equality]
+        return np.where(symbolic, ~(values >= high), satisfied), ~satisfied
+
     def partition_for_point(
         self, x: Sequence[float]
     ) -> Tuple[Tuple[Predicate, ...], Tuple[Predicate, ...]]:
         """Split predicates by how the test point evaluates them.
 
         Returns ``(Ψ_x, Ψ_¬x)``: the predicates that ``x`` possibly satisfies
-        and the ones it possibly falsifies.  A symbolic predicate evaluating
-        to *maybe* appears in **both** groups (the three-valued semantics of
-        ``filter#_R`` in Appendix B); concrete predicates appear in exactly
-        one.
+        and the ones it possibly falsifies (see :meth:`point_sides`).
         """
-        satisfied = []
-        falsified = []
-        for predicate in self.predicates:
-            verdict = point_satisfies(predicate, x)
-            if verdict.possibly_true:
-                satisfied.append(predicate)
-            if verdict.possibly_false:
-                falsified.append(predicate)
-        return tuple(satisfied), tuple(falsified)
+        possibly_true, possibly_false = self.point_sides(x)
+        return (
+            tuple(itertools.compress(self.predicates, possibly_true.tolist())),
+            tuple(itertools.compress(self.predicates, possibly_false.tolist())),
+        )
 
     def maybe_predicates(self, x: Sequence[float]) -> Tuple[Predicate, ...]:
         """The predicates whose evaluation on ``x`` is three-valued *maybe*."""
+        possibly_true, possibly_false = self.point_sides(x)
         return tuple(
-            predicate
-            for predicate in self.predicates
-            if point_satisfies(predicate, x) is Trilean.MAYBE
+            itertools.compress(self.predicates, (possibly_true & possibly_false).tolist())
         )
 
     # -------------------------------------------------------------- printing

@@ -38,7 +38,6 @@ from repro.core.predicates import (
     Predicate,
     SymbolicThresholdPredicate,
     ThresholdPredicate,
-    point_satisfies,
 )
 from repro.core import split_plan
 from repro.core.trace_learner import TraceLearner
@@ -556,28 +555,6 @@ def flip_best_split_abstract(
             selected.extend(materialize(feature, kind, table, positions))
         result = (selected, False)
     plan.store_best_split(cache_key, result)
-    return result
-
-
-def flip_filter_abstract(
-    trainset: FlipAbstractTrainingSet,
-    predicates: Sequence[Predicate],
-    x: Sequence[float],
-) -> Optional[FlipAbstractTrainingSet]:
-    """``filter#`` under the combined model (same join structure as §4.5)."""
-    pieces: List[FlipAbstractTrainingSet] = []
-    for predicate in predicates:
-        verdict = point_satisfies(predicate, x)
-        if verdict.possibly_true:
-            pieces.append(trainset.split_down(predicate, True))
-        if verdict.possibly_false:
-            pieces.append(trainset.split_down(predicate, False))
-    pieces = [piece for piece in pieces if piece.size > 0]
-    if not pieces:
-        return None
-    result = pieces[0]
-    for piece in pieces[1:]:
-        result = result.join(piece)
     return result
 
 

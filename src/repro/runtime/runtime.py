@@ -45,6 +45,7 @@ from repro.runtime.fingerprint import (
 from repro.runtime.journal import RunJournal, run_id
 from repro.runtime.shm import DatasetStore, SharedDatasetHandle, default_store
 from repro.telemetry import events, metrics
+from repro.utils.validation import check_finite_points
 from repro.verify.result import VerificationResult
 
 _CACHE_LOOKUPS = metrics.counter(
@@ -507,7 +508,7 @@ class CertificationRuntime:
         # CertificationRequest), so class-count-dependent families are
         # resolved here before their cache family key is computed.
         model = resolve_model_classes(model, dataset.n_classes)
-        row = np.asarray(x, dtype=float)
+        row = check_finite_points(np.asarray(x, dtype=float))
         fp = fingerprint_dataset(dataset)
         family, budget = model_cache_key(model, len(dataset))
         engine_key = engine_cache_key(engine)

@@ -32,6 +32,13 @@ def check_positive_int(value: int, name: str, *, allow_zero: bool = False) -> in
     return value
 
 
+def check_finite_points(points: np.ndarray) -> np.ndarray:
+    """Reject test points with a NaN or infinite feature (as the wire does)."""
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("test points must be finite (no NaN or infinity)")
+    return points
+
+
 def check_fraction(value: float, name: str) -> float:
     """Check that ``value`` lies in the closed unit interval ``[0, 1]``."""
     try:

@@ -1,129 +1,72 @@
-"""Domain-ladder traces: warm-starting ``filter#`` across budget probes.
+"""``filter#`` as one closed-form join, and warm-starting it across budget probes.
 
-A budget search (the §6.1 doubling/binary search, or one staircase step of a
-Pareto frontier) re-certifies the *same* test point against the *same*
-dataset at a sequence of nearby budgets.  The abstract learner's per-step row
-sets are budget-independent — ``split_down`` keeps indices that depend only
-on the predicate path, and the filter join unions them — so when two probes
-make the same abstract decisions (same node row set, same ``bestSplit#``
-outcome), their filtered states differ **only in the budget component**, and
-that component is pure integer arithmetic over sizes recorded the first time.
+The paper's ``filter#`` (§4.5, Appendix B) joins, under Definition 4.1, the
+split pieces ``⟨T_j, n_j⟩`` of every predicate in Ψ that the test point can
+take.  That join has a closed form: for non-empty pieces with
+``n_j ≤ |T_j|``, folded left to right,
 
-This module captures exactly that: :func:`filter_abstract_traced` performs a
-normal ``filter#`` while recording one :class:`TraceStep` — the entry row
-set, the predicate set, the resulting row set, and a :class:`FilterReplay`
-holding the piece/join sizes.  A later probe whose state matches the step
-(:meth:`TraceStep.matches`) skips the split/join array work entirely and
-rebuilds the filtered element via :meth:`TraceStep.apply`, replaying the
-budget formulas of ``split_down`` / ``join`` on the stored sizes.  The
-formulas below are transcriptions of (and must stay in lockstep with):
+``⊔_j ⟨T_j, n_j⟩ = ⟨∪_j T_j, |∪_j T_j| − min_j (|T_j| − n_j)⟩``.
 
-* ``AbstractTrainingSet._split_down_symbolic_counts`` / ``split_down`` /
-  ``join`` for removal elements ``⟨T, n⟩``;
-* ``FlipAbstractTrainingSet._split_down_symbolic_counts`` / ``split_down`` /
-  ``join`` for flip/composite elements ``⟨T, r, f⟩``
+Proof: with ``U_k`` the size of the first ``k`` pieces' union and ``b_k`` the
+fold's budget, Definition 4.1 gives
+``b_k = max((U_k − |T_k|) + n_k, (U_k − U_{k−1}) + b_{k−1})``, i.e.
+``b_k − U_k = max(n_k − |T_k|, b_{k−1} − U_{k−1})``; both terms are ``≤ 0``,
+so the clamp to the union size never binds.  For ``⟨T, r, f⟩`` elements ``r``
+follows the same formula and ``f = max_j f_j``.  The join is therefore
+order-independent and needs no intermediate unions:
+:func:`filter_abstract_traced` computes every piece's loose row mask and its
+tight/loose sizes in one vector pass, ORs the masks, and applies the formula.
+:func:`repro.verify.transformers.filter_abstract` (the pairwise fold) is its
+scalar oracle.
 
-so a warm-started probe is behavior-identical to a cold one by construction
-(asserted by the staircase property tests in
-``tests/verify/test_vectorized_kernels.py``).
+The row set of a filter depends only on the node's rows and on Ψ, never on
+the budget.  A budget search (the §6.1 doubling/binary search, or one
+staircase step of a Pareto frontier) re-certifies the same point at nearby
+budgets, so each filter is recorded as a :class:`TraceStep`: the entry row
+set, Ψ, the filtered row set, and the piece sizes (:class:`FilterReplay`).
+A later probe whose state matches the step (:meth:`TraceStep.matches`)
+skips the array work and rebuilds the filtered element with
+:meth:`TraceStep.apply` — the one budget formula the cold filter uses too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predicates import Predicate, SymbolicThresholdPredicate
+from repro.core.predicates import Predicate
 from repro.telemetry import profiling
 
 
-@dataclass(frozen=True)
-class ReplayPiece:
-    """One ``split_down`` piece of a filter: its sizes, not its rows.
-
-    ``kind`` is ``"s"`` for a symbolic split (``size`` is the loose count
-    ``l``, ``tight`` the tight count ``t``) and ``"c"`` for a concrete one
-    (``size`` is the surviving row count; ``tight`` is unused).
-    """
-
-    kind: str
-    size: int
-    tight: int = 0
-
-    def removal_budget(self, n: int) -> int:
-        if self.kind == "c":
-            return n if n <= self.size else self.size
-        t, l = self.tight, self.size
-        return max(min(n, l), (l - t) + min(n, t))
-
-    def flip_budgets(self, removals: int, flips: int) -> Tuple[int, int]:
-        if self.kind == "c":
-            s = self.size
-            return (min(removals, s), min(flips, s))
-        t, l = self.tight, self.size
-        r = max(min(removals, l), (l - t) + min(removals, t))
-        return (min(r, l), min(flips, l))
-
-
-@dataclass(frozen=True)
-class JoinStat:
-    """Sizes of one fold step of the filter join (Definition 4.1).
-
-    ``common`` is recoverable as ``prev + piece - union``, so only the three
-    sizes are stored.
-    """
-
-    prev_size: int
-    piece_size: int
-    union_size: int
+def joined_budget(union_size: int, sizes: np.ndarray, budgets: np.ndarray) -> int:
+    """Budget of ``⊔_j ⟨T_j, n_j⟩`` whose union has ``union_size`` rows (see above)."""
+    return union_size - int((sizes - budgets).min())
 
 
 @dataclass(frozen=True)
 class FilterReplay:
-    """Budget replay data of one ``filter#`` application.
+    """Sizes of one ``filter#``'s non-empty pieces and of their union.
 
-    ``pieces`` are the non-empty split pieces in fold order; ``joins`` has one
-    entry per fold step (``len(pieces) - 1``).  Replaying runs the exact
-    budget arithmetic the real transformers ran, on the stored sizes.
+    ``loose[j]`` is piece ``j``'s row count ``l`` and ``tight[j]`` the tight
+    count ``t`` of a symbolic split (``t = l`` for a concrete predicate, for
+    which the symbolic budget rule reduces to ``min(n, l)``).
     """
 
-    pieces: Tuple[ReplayPiece, ...]
-    joins: Tuple[JoinStat, ...]
+    loose: np.ndarray
+    tight: np.ndarray
+    union_size: int
 
-    def replay_removal(self, n: int) -> int:
-        """The filtered element's budget for an incoming budget ``n``."""
-        pieces = self.pieces
-        budget = pieces[0].removal_budget(n)
-        size = pieces[0].size
-        for piece, stat in zip(pieces[1:], self.joins):
-            other = piece.removal_budget(n)
-            common = stat.prev_size + stat.piece_size - stat.union_size
-            raw = max(
-                (stat.prev_size - common) + other,
-                (stat.piece_size - common) + budget,
-            )
-            budget = raw if raw <= stat.union_size else stat.union_size
-            size = stat.union_size
-        return budget if budget <= size else size
+    def removals(self, n: int) -> int:
+        """The filtered element's removal budget for an incoming budget ``n``."""
+        loose, tight = self.loose, self.tight
+        pieces = np.maximum(np.minimum(n, loose), (loose - tight) + np.minimum(n, tight))
+        return joined_budget(self.union_size, loose, pieces)
 
-    def replay_flip(self, removals: int, flips: int) -> Tuple[int, int]:
-        """The filtered element's ``(r, f)`` for incoming budgets."""
-        pieces = self.pieces
-        r, f = pieces[0].flip_budgets(removals, flips)
-        size = pieces[0].size
-        for piece, stat in zip(pieces[1:], self.joins):
-            pr, pf = piece.flip_budgets(removals, flips)
-            common = stat.prev_size + stat.piece_size - stat.union_size
-            raw = max(
-                (stat.prev_size - common) + pr,
-                (stat.piece_size - common) + r,
-            )
-            r = min(stat.union_size, raw)
-            f = min(stat.union_size, max(f, pf))
-            size = stat.union_size
-        return (min(r, size), min(f, size))
+    def flips(self, f: int) -> int:
+        """The filtered element's flip budget: ``max_j min(f, l_j)``."""
+        return min(f, int(self.loose.max()))
 
 
 @dataclass(frozen=True)
@@ -153,11 +96,12 @@ class TraceStep:
             return None
         assert self.replay is not None
         flips = getattr(state, "flips", None)
-        if flips is not None:
-            r, f = self.replay.replay_flip(state.removals, flips)
-            return type(state)._trusted(state.dataset, self.next_indices, r, f)
-        n = self.replay.replay_removal(state.n)
-        return type(state)._trusted(state.dataset, self.next_indices, n)
+        if flips is None:
+            n = self.replay.removals(state.n)
+            return type(state)._trusted(state.dataset, self.next_indices, n)
+        r = self.replay.removals(state.removals)
+        f = self.replay.flips(flips)
+        return type(state)._trusted(state.dataset, self.next_indices, r, f)
 
 
 @dataclass(frozen=True)
@@ -173,47 +117,60 @@ class LadderTrace:
 
 
 def filter_abstract_traced(trainset, predicates, x: Sequence[float]):
-    """``filter#`` exactly as :func:`repro.verify.transformers.filter_abstract`,
-    additionally recording the :class:`TraceStep` that lets a later probe
-    replay this application at a different budget.
+    """``filter#(trainset, Ψ, x)``, equal to
+    :func:`repro.verify.transformers.filter_abstract`, plus the
+    :class:`TraceStep` that lets a later probe replay it at another budget.
+
+    Every (predicate, branch) piece that ``x`` can take is split at once over
+    the node's rows: the positive branch of ``x_i <= [a, b)`` keeps
+    ``x_i < b`` (loose) of which ``x_i <= a`` is tight, the negative branch
+    keeps ``x_i > a`` of which ``x_i >= b`` is tight, and a concrete
+    predicate's piece is its satisfying (resp. falsifying) rows.  Empty
+    pieces are identities of the join (Example 4.8) and are dropped.
 
     Returns ``(filtered_state_or_None, TraceStep)``.
     """
     with profiling.phase("filter"):
-        satisfied, falsified = predicates.partition_for_point(x)
-        pieces: List = []
-        replay_pieces: List[ReplayPiece] = []
-
-        def split(predicate: Predicate, branch: bool) -> None:
-            if isinstance(predicate, SymbolicThresholdPredicate):
-                piece, t, l = trainset._split_down_symbolic_counts(predicate, branch)
-                if piece.size > 0:
-                    pieces.append(piece)
-                    replay_pieces.append(ReplayPiece("s", l, t))
-            else:
-                piece = trainset.split_down(predicate, branch)
-                if piece.size > 0:
-                    pieces.append(piece)
-                    replay_pieces.append(ReplayPiece("c", piece.size))
-
-        for predicate in satisfied:
-            split(predicate, True)
-        for predicate in falsified:
-            split(predicate, False)
-
-        indices_key = trainset.indices.tobytes()
-        if not pieces:
-            return None, TraceStep(indices_key, predicates.predicates, None, None)
-        result = pieces[0]
-        joins: List[JoinStat] = []
-        for piece in pieces[1:]:
-            prev_size = result.size
-            result = result.join(piece)
-            joins.append(JoinStat(prev_size, piece.size, result.size))
-        step = TraceStep(
-            indices_key,
-            predicates.predicates,
-            result.indices,
-            FilterReplay(tuple(replay_pieces), tuple(joins)),
+        possibly_true, possibly_false = predicates.point_sides(x)
+        features, low, high, symbolic, equality = predicates.arrays
+        # Pieces in four blocks: symbolic positive, symbolic negative,
+        # concrete positive, concrete negative (the join is order-free).
+        blocks = (
+            possibly_true & symbolic,
+            possibly_false & symbolic,
+            possibly_true & ~symbolic,
+            possibly_false & ~symbolic,
         )
-        return result, step
+        pieces = np.concatenate([np.flatnonzero(block) for block in blocks])
+        a, b, c = np.cumsum([np.count_nonzero(block) for block in blocks[:3]]).tolist()
+        low = low[pieces, np.newaxis]
+        high = high[pieces, np.newaxis]
+        indices = trainset.indices
+        # One row of node values per piece; each needed column is read once.
+        columns, inverse = np.unique(features[pieces], return_inverse=True)
+        values = trainset.dataset.X.T[np.ix_(columns, indices)][inverse]
+
+        loose = np.empty(values.shape, dtype=bool)
+        tight = np.empty((b, values.shape[1]), dtype=bool)
+        np.less(values[:a], high[:a], out=loose[:a])
+        np.less_equal(values[:a], low[:a], out=tight[:a])
+        np.greater(values[a:b], low[a:b], out=loose[a:b])
+        np.greater_equal(values[a:b], high[a:b], out=tight[a:b])
+        concrete, bound = values[b:], low[b:]
+        hit = np.where(equality[pieces[b:], np.newaxis], concrete == bound, concrete <= bound)
+        loose[b:c] = hit[: c - b]
+        np.logical_not(hit[c - b :], out=loose[c:])
+
+        loose_counts = np.count_nonzero(loose, axis=1)
+        tight_counts = np.concatenate([np.count_nonzero(tight, axis=1), loose_counts[b:]])
+        nonempty = loose_counts > 0
+        indices_key = indices.tobytes()
+        if not nonempty.any():
+            return None, TraceStep(indices_key, predicates.predicates, None, None)
+        next_indices = indices[loose.any(axis=0)]
+        next_indices.setflags(write=False)
+        replay = FilterReplay(
+            loose_counts[nonempty], tight_counts[nonempty], int(next_indices.size)
+        )
+        step = TraceStep(indices_key, predicates.predicates, next_indices, replay)
+        return step.apply(trainset), step

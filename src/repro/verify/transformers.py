@@ -18,7 +18,7 @@ threshold of a feature at once using the same per-feature split tables as the
 concrete learner, plus a generic slow path over an explicit predicate pool.
 
 The entry points the abstract learners call (``cprob_intervals``,
-``pure_exit_vector``, ``best_split_abstract``, ``filter_abstract``) dispatch
+``pure_exit_vector``, ``best_split_abstract``) and ``filter_abstract`` dispatch
 structurally on the abstract element: an element exposing the flip protocol
 (``class_probability_intervals`` / ``pure_exit_intervals`` /
 ``abstract_best_split`` — i.e.
@@ -189,7 +189,11 @@ def filter_abstract(
     """``filter#(⟨T, n⟩, Ψ, x)`` of §4.5 (and its symbolic variant of App. B).
 
     Returns ``None`` (bottom) when no predicate applies, which can only happen
-    when ``Ψ`` contains no concrete choices.
+    when ``Ψ`` contains no concrete choices.  This is the scalar oracle: one
+    ``split_down`` per piece, folded with the pairwise join of
+    Definition 4.1.  The learners run
+    :func:`repro.verify.trace.filter_abstract_traced`, its closed-form
+    vector kernel, which the property tests hold to it bit for bit.
     """
     with profiling.phase("filter"):
         satisfied, falsified = predicates.partition_for_point(x)

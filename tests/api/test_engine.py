@@ -15,6 +15,7 @@ from repro.poisoning.models import (
     RemovalPoisoningModel,
 )
 from repro.utils.memory import trace_allocations
+from repro.utils.validation import ValidationError
 from repro.verify.result import VerificationResult, VerificationStatus
 from tests.conftest import well_separated_dataset
 
@@ -73,6 +74,30 @@ class TestRequest:
         request = CertificationRequest(figure2_dataset(), X, 1)
         X[0, 0] = 99.0  # must not raise, and must not leak into the request
         assert request.points[0, 0] == 5.0
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFinitePoints:
+    """NaN and ±inf test points are refused in-process, as on the wire."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_request_rejects(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            CertificationRequest(figure2_dataset(), [[5.0], [value]], 1)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_certify_point_rejects(self, value):
+        engine = CertificationEngine(max_depth=1)
+        with pytest.raises(ValidationError, match="finite"):
+            engine.certify_point(figure2_dataset(), [value], 1)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_max_certified_rejects(self, value):
+        engine = CertificationEngine(max_depth=1)
+        with pytest.raises(ValidationError, match="finite"):
+            engine.max_certified(figure2_dataset(), [value], max_budget=4)
 
 
 class TestThreatModelDispatch:

@@ -1,7 +1,29 @@
 """Tests for the abstract predicate-set domain."""
 
-from repro.core.predicates import SymbolicThresholdPredicate, ThresholdPredicate
+from hypothesis import given, settings, strategies as st
+
+from repro.core.predicates import (
+    EqualityPredicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+    Trilean,
+    point_satisfies,
+)
 from repro.domains.predicate_set import AbstractPredicateSet
+
+GRID = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def predicates(draw):
+    feature = draw(st.integers(min_value=0, max_value=1))
+    kind = draw(st.sampled_from(["threshold", "symbolic", "equality"]))
+    if kind == "threshold":
+        return ThresholdPredicate(feature, draw(GRID))
+    if kind == "equality":
+        return EqualityPredicate(feature, draw(GRID))
+    low = draw(GRID)
+    return SymbolicThresholdPredicate(feature, low, low + draw(st.sampled_from([0.5, 1.5])))
 
 
 class TestConstruction:
@@ -60,6 +82,26 @@ class TestPointPartition:
         assert satisfied and not falsified
         satisfied, falsified = predicates.partition_for_point([9.0])
         assert falsified and not satisfied
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(predicates(), max_size=6),
+        st.lists(GRID | st.sampled_from([0.25, 1.75, float("nan")]), min_size=2, max_size=2),
+    )
+    def test_array_partition_matches_scalar_trilean(self, members, x):
+        predicate_set = AbstractPredicateSet.of(members)
+        verdicts = [point_satisfies(predicate, x) for predicate in members]
+        satisfied, falsified = predicate_set.partition_for_point(x)
+        assert satisfied == tuple(
+            p for p, verdict in zip(members, verdicts) if verdict.possibly_true
+        )
+        assert falsified == tuple(
+            p for p, verdict in zip(members, verdicts) if verdict.possibly_false
+        )
+        assert predicate_set.maybe_predicates(x) == tuple(
+            p for p, verdict in zip(members, verdicts) if verdict is Trilean.MAYBE
+        )
 
 
 class TestDescribe:

@@ -11,6 +11,7 @@ from repro.poisoning.models import (
     RemovalPoisoningModel,
 )
 from repro.runtime import CertificationRuntime
+from repro.utils.validation import ValidationError
 from repro.verify.search import max_certified_poisoning
 from tests.conftest import well_separated_dataset
 
@@ -37,6 +38,24 @@ def _forbid_compute(monkeypatch):
 
     monkeypatch.setattr(engine_module.CertificationEngine, "_compute_stream", boom)
     monkeypatch.setattr(engine_module.CertificationEngine, "_certify_one", boom)
+
+
+class TestNonFinitePoints:
+    """The runtime's point-wise entry and its sweeps refuse NaN and ±inf."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_before_any_lookup(self, tmp_path, value):
+        engine = _engine(tmp_path)
+        runtime = engine.runtime
+        dataset = well_separated_dataset()
+        model = RemovalPoisoningModel(1)
+        with pytest.raises(ValidationError, match="finite"):
+            engine.certify_point(dataset, [value], model)
+        with pytest.raises(ValidationError, match="finite"):
+            runtime.certify_point(engine, dataset, [value], model)
+        with pytest.raises(ValidationError, match="finite"):
+            runtime.max_certified(engine, dataset, [value], max_budget=4)
+        assert runtime.stats.learner_invocations == 0
 
 
 class TestWarmCache:

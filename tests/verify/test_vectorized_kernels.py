@@ -15,12 +15,16 @@ agreement: `leaf_exit_bounds` over `split_statistics` must equal
 child), and the array helpers `dominating_components` / `join_bounds` must
 equal `dominating_component` / folded `join_interval_vectors` row by row.
 
-The warm-start layer gets the same treatment: a replayed
-:class:`~repro.verify.trace.TraceStep` must reproduce the real ``filter#``
-kernel exactly at *every* budget (the replay is pure budget arithmetic over
-the recorded piece/join structure), and an engine that warm-starts across a
-budget ladder must report verdicts identical to fresh cold runs.
+``filter#`` is held to its oracle the same way: the closed-form n-ary join
+(`joined_budget`) must equal the left fold of pairwise joins under every
+order, `filter_abstract_traced` must equal `filter_abstract` (one
+`split_down` per piece, folded) in row set and budgets, and a replayed
+:class:`~repro.verify.trace.TraceStep` must equal `filter_abstract` at
+*every* budget.  An engine that warm-starts across a budget ladder must
+report verdicts identical to fresh cold runs.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from repro.domains.interval import (
     join_bounds,
     join_interval_vectors,
 )
+from repro.domains.predicate_set import AbstractPredicateSet
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
@@ -47,12 +52,13 @@ from repro.poisoning.label_flip import (
     _flip_split_score_bounds_reference,
 )
 from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
-from repro.verify.trace import filter_abstract_traced
+from repro.verify.trace import filter_abstract_traced, joined_budget
 from repro.verify.transformers import (
     _side_score_bounds,
     _side_score_bounds_reference,
     _table_positions,
     best_split_abstract,
+    filter_abstract,
     leaf_exit_bounds,
     leaf_exit_bounds_reference,
     split_statistics,
@@ -282,6 +288,106 @@ class TestIntervalRowHelpers:
         assert join_bounds(lower, upper) == expected
 
 
+def _budgets_of(state):
+    if isinstance(state, FlipAbstractTrainingSet):
+        return state.removals, state.flips
+    return state.n, None
+
+
+def _assert_same_filter(result, expected):
+    if expected is None:
+        assert result is None
+    else:
+        assert result is not None
+        np.testing.assert_array_equal(result.indices, expected.indices)
+        assert _budgets_of(result) == _budgets_of(expected)
+
+
+@st.composite
+def join_pieces(draw):
+    """2–4 non-empty pieces over one base, each with budgets within its size."""
+    dataset = random_small_dataset(
+        np.random.default_rng(draw(st.integers(0, 10_000))), n_samples=8
+    )
+    flip = draw(st.booleans())
+    pieces = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        rows = draw(st.sets(st.integers(0, 7), min_size=1))
+        indices = np.array(sorted(rows), dtype=np.int64)
+        removals = draw(st.integers(0, indices.size))
+        if flip:
+            flips = draw(st.integers(0, indices.size))
+            pieces.append(FlipAbstractTrainingSet(dataset, indices, removals, flips))
+        else:
+            pieces.append(AbstractTrainingSet(dataset, indices, removals))
+    return pieces
+
+
+class TestClosedFormJoin:
+    """Definition 4.1 folded over any order equals the closed-form n-ary join."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(join_pieces())
+    def test_every_fold_order_equals_the_closed_form(self, pieces):
+        union = np.unique(np.concatenate([piece.indices for piece in pieces]))
+        sizes = np.array([piece.size for piece in pieces])
+        removals = np.array([_budgets_of(piece)[0] for piece in pieces])
+        flips = [_budgets_of(piece)[1] for piece in pieces]
+        expected = (
+            joined_budget(union.size, sizes, removals),
+            None if flips[0] is None else max(flips),
+        )
+        for order in itertools.permutations(pieces):
+            folded = order[0]
+            for piece in order[1:]:
+                folded = folded.join(piece)
+            np.testing.assert_array_equal(folded.indices, union)
+            assert _budgets_of(folded) == expected
+
+
+@st.composite
+def filter_problems(draw):
+    """A node, a predicate set Ψ and a test point for ``filter#``.
+
+    Ψ mixes table candidates, off-table thresholds and symbolic ranges (some
+    with an empty side) and equality predicates; the point's coordinates are
+    data values, midpoints between them (*maybe* for a table candidate) and
+    values outside the data range.
+    """
+    state, children = draw(leaf_levels())
+    predicates = AbstractPredicateSet.of(dict.fromkeys(p for p, _ in children))
+    values = sorted({float(v) for v in state.dataset.X.ravel()})
+    midpoints = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+    coordinate = st.sampled_from(values + midpoints + [values[0] - 1.0, values[-1] + 1.0])
+    x = [draw(coordinate) for _ in range(state.dataset.n_features)]
+    return state, predicates, x
+
+
+class TestFilterMatchesOracle:
+    """The closed-form ``filter#`` kernel vs the pairwise fold, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(filter_problems())
+    def test_matches_filter_abstract(self, problem):
+        state, predicates, x = problem
+        result, step = filter_abstract_traced(state, predicates, x)
+        expected = filter_abstract(state, predicates, x)
+        _assert_same_filter(result, expected)
+        _assert_same_filter(step.apply(state), expected)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_all_pieces_empty_is_bottom(self, flip):
+        dataset = random_small_dataset(np.random.default_rng(3))
+        state = _flip_state(dataset, 1, 1) if flip else _removal_state(dataset, 1)
+        below = float(dataset.X[:, 0].min()) - 1.0
+        # x satisfies x0 <= below, whose positive side holds no row.
+        predicates = AbstractPredicateSet.of([ThresholdPredicate(0, below)])
+        x = np.full(dataset.n_features, below - 1.0)
+        assert filter_abstract(state, predicates, x) is None
+        result, step = filter_abstract_traced(state, predicates, x)
+        assert result is None and step.apply(state) is None
+
+
 def _removal_state(dataset, budget):
     return AbstractTrainingSet.from_indices(
         dataset, np.arange(len(dataset)), budget
@@ -297,10 +403,22 @@ def _flip_state(dataset, removals, flips):
 class TestTraceReplayMatchesFilter:
     """A recorded TraceStep replays ``filter#`` exactly at every other budget.
 
-    The replay never re-runs the split/join kernels — it is pure budget
-    arithmetic over the recorded piece structure — so agreement here is the
-    soundness argument for warm-started probes.
+    The replay never re-runs the split kernels — it is the closed-form join
+    over the recorded piece sizes — so agreement with the scalar oracle
+    ``filter_abstract`` is the soundness argument for warm-started probes.
     """
+
+    @settings(max_examples=200, deadline=None)
+    @given(filter_problems(), st.integers(0, 5), st.integers(0, 5))
+    def test_replay_of_any_filter(self, problem, removals, flips):
+        state, predicates, x = problem
+        _, step = filter_abstract_traced(state, predicates, x)
+        if isinstance(state, FlipAbstractTrainingSet):
+            probe = FlipAbstractTrainingSet(state.dataset, state.indices, removals, flips)
+        else:
+            probe = AbstractTrainingSet(state.dataset, state.indices, removals)
+        assert step.matches(probe, predicates.predicates)
+        _assert_same_filter(step.apply(probe), filter_abstract(probe, predicates, x))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_removal_replay_all_budgets(self, seed):
@@ -316,14 +434,7 @@ class TestTraceReplayMatchesFilter:
         for budget in range(0, 7):
             probe = _removal_state(dataset, budget)
             assert step.matches(probe, predicates.predicates)
-            replayed = step.apply(probe)
-            expected, _ = filter_abstract_traced(probe, predicates, x)
-            if expected is None:
-                assert replayed is None
-            else:
-                assert replayed is not None
-                np.testing.assert_array_equal(replayed.indices, expected.indices)
-                assert replayed.n == expected.n
+            _assert_same_filter(step.apply(probe), filter_abstract(probe, predicates, x))
 
     @pytest.mark.parametrize("seed", range(12, 24))
     def test_flip_replay_all_budget_pairs(self, seed):
@@ -340,17 +451,9 @@ class TestTraceReplayMatchesFilter:
             for flips in range(0, 4):
                 probe = _flip_state(dataset, removals, flips)
                 assert step.matches(probe, predicates.predicates)
-                replayed = step.apply(probe)
-                expected, _ = filter_abstract_traced(probe, predicates, x)
-                if expected is None:
-                    assert replayed is None
-                else:
-                    assert replayed is not None
-                    np.testing.assert_array_equal(
-                        replayed.indices, expected.indices
-                    )
-                    assert replayed.removals == expected.removals
-                    assert replayed.flips == expected.flips
+                _assert_same_filter(
+                    step.apply(probe), filter_abstract(probe, predicates, x)
+                )
 
 
 def _verdict(result):
