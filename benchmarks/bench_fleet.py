@@ -1,20 +1,13 @@
-"""Benchmark for `repro.fleet`: routed TCP serving and micro-batching.
+"""Benchmark for `repro.fleet`: routed TCP serving and single-point storms.
 
-Two claims are measured:
-
-1. **Routing overhead is bounded**: a warm batch certified through the
-   router (client → router TCP → shard-owner TCP) must stay within 2× the
-   wall-clock of the same warm batch over a direct Unix socket.  The router
-   adds exactly one relay hop plus shard hashing; both are per-batch, not
-   per-point.
-2. **Micro-batching pools the storm**: ``CONCURRENT_CLIENTS`` clients each
-   certifying one *distinct* point of the same (dataset, model) through a
-   ``--batch-window`` server must coalesce into shared windows (mean pooled
-   frames per window ≥ 2), paying engine-plan and scheduler bookkeeping
-   per window instead of per frame.  Wall-clock for both storms is
-   reported but not gated: at benchmark scale the window hold time
-   (``BATCH_WINDOW_SECONDS``) dominates the tiny certifications, so the
-   latency win only appears under real load.
+1. **Routing overhead is bounded** (gated): a warm batch certified through
+   the router (client → router TCP → shard-owner TCP) must stay within 2×
+   the wall-clock of the same warm batch over a direct Unix socket.  The
+   router adds exactly one relay hop plus shard hashing; both are
+   per-batch, not per-point.
+2. **Single-point storm** (reported, not gated): ``CONCURRENT_CLIENTS``
+   clients each certify one *distinct* point of the same (dataset, model)
+   against one TCP server at once.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_fleet.py``);
 artifacts: ``results/fleet.txt`` and ``results/BENCH_fleet.json``.
@@ -39,7 +32,6 @@ from repro.utils.tables import TextTable
 ROWS = 512
 BATCH_POINTS = 32
 CONCURRENT_CLIENTS = 8
-BATCH_WINDOW_SECONDS = 0.05
 
 
 def _dataset() -> Dataset:
@@ -134,7 +126,7 @@ def main() -> int:
             router.close()
             backend.close()
 
-        # -- single-point storms: unbatched vs micro-batched ----------------
+        # -- single-point storm ---------------------------------------------
         plain = CertificationServer(
             tcp="127.0.0.1:0", cache_dir=tmp_path / "plain-cache"
         )
@@ -144,28 +136,10 @@ def main() -> int:
         finally:
             plain.close()
 
-        pooled = CertificationServer(
-            tcp="127.0.0.1:0",
-            cache_dir=tmp_path / "pooled-cache",
-            batch_window=BATCH_WINDOW_SECONDS,
-        )
-        pooled.start()
-        try:
-            batched_seconds = _storm(pooled.address, dataset, points, model)
-            with CertificationClient(pooled.address) as probe:
-                snapshot = probe.metrics()["metrics"]
-        finally:
-            pooled.close()
-        size_series = snapshot.get("batch_size_points", {}).get("series", [])
-        windows = sum(row.get("count", 0) for row in size_series)
-        pooled_frames = sum(row.get("sum", 0.0) for row in size_series)
-        mean_window_size = pooled_frames / windows if windows else 0.0
-
     per_second = {
         "direct_warm": BATCH_POINTS / direct_seconds,
         "routed_warm": BATCH_POINTS / routed_seconds,
         "storm_unbatched": CONCURRENT_CLIENTS / unbatched_seconds,
-        "storm_batched": CONCURRENT_CLIENTS / batched_seconds,
     }
     routed_ratio = routed_seconds / direct_seconds
 
@@ -179,34 +153,25 @@ def main() -> int:
          f"{routed_seconds:.4f}"]
     )
     table.add_row(
-        [f"{CONCURRENT_CLIENTS}-client storm, unbatched",
+        [f"{CONCURRENT_CLIENTS}-client single-point storm",
          f"{per_second['storm_unbatched']:.1f}", f"{unbatched_seconds:.4f}"]
-    )
-    table.add_row(
-        [f"{CONCURRENT_CLIENTS}-client storm, batched",
-         f"{per_second['storm_batched']:.1f}", f"{batched_seconds:.4f}"]
     )
     save_artifact(
         "fleet",
         f"Fleet serving: {BATCH_POINTS}-point warm batches and "
-        f"{CONCURRENT_CLIENTS}-client single-point storms on "
+        f"an {CONCURRENT_CLIENTS}-client single-point storm on "
         f"{ROWS}-row {dataset.name} "
-        f"(routed/direct warm ratio {routed_ratio:.2f}x, "
-        f"mean pooled frames per window {mean_window_size:.1f})\n"
+        f"(routed/direct warm ratio {routed_ratio:.2f}x)\n"
         + table.render(),
     )
     payload = {
         "dataset_rows": ROWS,
         "batch_points": BATCH_POINTS,
         "concurrent_clients": CONCURRENT_CLIENTS,
-        "batch_window_seconds": BATCH_WINDOW_SECONDS,
         "direct_warm_seconds": direct_seconds,
         "routed_warm_seconds": routed_seconds,
         "routed_over_direct_ratio": routed_ratio,
         "storm_unbatched_seconds": unbatched_seconds,
-        "storm_batched_seconds": batched_seconds,
-        "batch_windows": windows,
-        "mean_pooled_frames_per_window": mean_window_size,
         "points_per_second": per_second,
     }
     (results_directory() / "BENCH_fleet.json").write_text(
@@ -214,18 +179,10 @@ def main() -> int:
     )
     print(table.render())
     print(f"routed/direct warm ratio: {routed_ratio:.2f}x")
-    print(
-        f"micro-batch windows: {windows} "
-        f"(mean {mean_window_size:.1f} pooled frames/window)"
-    )
 
-    # Acceptance gates: the router hop must not double warm latency, and
-    # the storm must actually pool into shared windows.
+    # Acceptance gate: the router hop must not double warm latency.
     if routed_ratio > 2.0:
         print(f"FAIL: routed warm is {routed_ratio:.2f}x direct (> 2.0x)")
-        return 1
-    if mean_window_size < 2.0:
-        print(f"FAIL: storms did not pool (mean window {mean_window_size:.1f})")
         return 1
     return 0
 

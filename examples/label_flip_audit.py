@@ -8,12 +8,12 @@ example certifies predictions of the MNIST-1-7-like classifier against
 * up to ``n`` planted rows (:class:`repro.RemovalPoisoningModel`),
 * up to ``f`` flipped labels (:class:`repro.LabelFlipModel`),
 * and the combined threat of ``r`` planted rows plus ``f`` flipped labels
-  (via the lower-level :class:`repro.poisoning.LabelFlipVerifier` extension).
+  (:class:`repro.CompositePoisoningModel`).
 
-The two first-class threat models flow through the *same*
+All three threat models flow through the *same*
 ``CertificationEngine.verify(request)`` entry point: the engine dispatches
 each model to the appropriate abstract-training-set initializer (``⟨T, n⟩``
-for removal, ``⟨T, 0, f⟩`` for flips).
+for removal, ``⟨T, 0, f⟩`` for flips, ``⟨T, r, f⟩`` for the combination).
 
 Run with:  python examples/label_flip_audit.py
 """
@@ -25,11 +25,11 @@ import argparse
 from repro import (
     CertificationEngine,
     CertificationRequest,
+    CompositePoisoningModel,
     LabelFlipModel,
     RemovalPoisoningModel,
     load_dataset,
 )
-from repro.poisoning.label_flip import LabelFlipVerifier
 from repro.utils.tables import TextTable
 
 
@@ -48,7 +48,6 @@ def main() -> None:
     engine = CertificationEngine(
         max_depth=args.depth, domain="either", timeout_seconds=60.0
     )
-    combined_verifier = LabelFlipVerifier(max_depth=args.depth)
     digits = split.test.X[: min(args.digits, len(split.test))]
 
     budgets = (1, 4, 16)
@@ -56,31 +55,22 @@ def main() -> None:
         ["digit", "budget", "removal-robust", "flip-robust", "combined-robust"]
     )
     for budget in budgets:
-        # One engine, one entry point, two different threat models.
-        removal_report = engine.verify(
-            CertificationRequest(split.train, digits, RemovalPoisoningModel(budget))
-        )
-        flip_report = engine.verify(
-            CertificationRequest(
-                split.train,
-                digits,
-                LabelFlipModel(budget, n_classes=split.train.n_classes),
+        # One engine, one entry point, three different threat models.
+        reports = [
+            engine.verify(CertificationRequest(split.train, digits, model))
+            for model in (
+                RemovalPoisoningModel(budget),
+                LabelFlipModel(budget),
+                CompositePoisoningModel(budget, budget),
             )
-        )
-        for index, (removal, flips) in enumerate(
-            zip(removal_report.results, flip_report.results)
-        ):
-            combined = combined_verifier.verify(
-                split.train, digits[index], flips=budget, removals=budget
-            ).robust
-            table.add_row(
-                [index, budget, removal.is_certified, flips.is_certified, combined]
-            )
+        ]
+        for index, results in enumerate(zip(*(report.results for report in reports))):
+            table.add_row([index, budget, *(result.is_certified for result in results)])
     print(table.render())
     print(
-        "\nLabel flips are certified with the extension's combined ⟨T, r, f⟩ "
-        "abstract domain; 'combined' tolerates both planted rows and flipped "
-        "labels simultaneously."
+        "\nLabel flips are certified on the ⟨T, r, f⟩ abstract domain; "
+        "'combined' tolerates both planted rows and flipped labels "
+        "simultaneously."
     )
 
 

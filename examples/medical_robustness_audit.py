@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 
 from repro import (
-    PoisoningVerifier,
+    CertificationEngine,
     greedy_removal_attack,
     load_dataset,
     max_certified_poisoning,
@@ -50,7 +50,7 @@ def main() -> None:
     print(f"Conservative audit budget: {conservative_budget} potentially "
           f"malicious records (0.5% of {len(train)})\n")
 
-    verifier = PoisoningVerifier(max_depth=args.depth, domain="either", timeout_seconds=60.0)
+    engine = CertificationEngine(max_depth=args.depth, domain="either", timeout_seconds=60.0)
 
     table = TextTable(
         [
@@ -64,10 +64,10 @@ def main() -> None:
     certified_count = 0
     for index in range(min(args.patients, len(split.test))):
         x = split.test.X[index]
-        result = verifier.verify(train, x, conservative_budget)
+        result = engine.certify_point(train, x, conservative_budget)
         certified_count += result.is_certified
 
-        search = max_certified_poisoning(verifier, train, x, max_n=len(train) // 8)
+        search = max_certified_poisoning(engine, train, x, max_n=len(train) // 8)
         attack_note = "-"
         if not result.is_certified:
             attack = greedy_removal_attack(

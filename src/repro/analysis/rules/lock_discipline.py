@@ -81,7 +81,6 @@ DEFAULT_ATTR_GUARDS: Tuple[AttrGuard, ...] = (
     ),
     AttrGuard("fleet/link.py", ("BackendPool",), ("_idle", "_closed"), "_lock"),
     AttrGuard("fleet/health.py", ("HealthMonitor",), ("_alive",), "_lock"),
-    AttrGuard("fleet/batching.py", ("MicroBatcher",), ("_windows",), "_lock"),
 )
 
 DEFAULT_GLOBAL_GUARDS: Tuple[GlobalGuard, ...] = (

@@ -8,8 +8,8 @@ learner must over-approximate every concrete poisoned run):
    not import or reference the concrete learner
    (``DecisionTreeLearner``/``TraceLearner``/``learn_trace``/
    ``evaluate_accuracy``) — concrete results leaking into a transformer
-   silently breaks over-approximation.  Driver modules that *intentionally*
-   bridge the two worlds (robustness drivers, enumeration oracles) are
+   silently breaks over-approximation.  Only the modules that
+   *intentionally* bridge the two worlds (the enumeration oracles) are
    exempt.
 
 2. **No raw float comparisons on Interval bounds.**  ``iv.hi <= x`` in a
@@ -43,15 +43,12 @@ DEFAULT_SCOPES: Tuple[str, ...] = (
     "repro/poisoning/label_flip.py",
 )
 
-# Drivers and oracles that intentionally touch the concrete learner.
-# label_flip.py hosts the flip family's *driver* (predicted-class computation
-# runs the concrete TraceLearner) alongside its transformers; its kernels are
-# still covered by the bound-comparison and oracle-registry checks below.
+# The enumeration oracles, which retrain the concrete learner on purpose.
+# label_flip.py hosts the flip family's oracles (``verify_flips_by_enumeration``
+# and friends) alongside its transformers; its kernels are still covered by
+# the bound-comparison and oracle-registry checks below.
 DEFAULT_IMPORT_EXEMPT: Tuple[str, ...] = (
-    "repro/verify/robustness.py",
-    "repro/verify/search.py",
     "repro/verify/enumeration.py",
-    "repro/verify/result.py",
     "repro/poisoning/label_flip.py",
 )
 
@@ -199,8 +196,9 @@ class SoundnessBoundaryRule:
             line=line,
             message=f"abstract-side module imports concrete learner `{what}`",
             hint=(
-                "abstract transformers must not call the concrete learner; move "
-                "the bridge into verify/robustness.py or verify/enumeration.py"
+                "abstract transformers must not call the concrete learner; "
+                "certification drivers belong in repro.api, enumeration "
+                "oracles in verify/enumeration.py"
             ),
         )
 

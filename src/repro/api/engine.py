@@ -6,8 +6,7 @@ number of :class:`~repro.api.request.CertificationRequest` objects:
 
 * the abstract learners (`BoxAbstractLearner`, `DisjunctiveAbstractLearner`)
   and the concrete trace learner are constructed **once** per engine and
-  reused across every certified point — the legacy ``PoisoningVerifier``
-  rebuilt both on every ``verify()`` call;
+  reused across every certified point;
 * the initial abstraction (``⟨T, n⟩`` for removal models, ``⟨T, r, f⟩`` for
   the label-flip and composite removal+flip models) and ``log10 |Δ(T)|`` are
   computed once per (dataset, model) pair and shared by every point of a
@@ -73,6 +72,7 @@ from repro.verify.disjunctive_learner import (
     DisjunctiveAbstractLearner,
 )
 from repro.verify.result import DOMAINS, VerificationResult, VerificationStatus
+from repro.verify.search import max_certified_poisoning, pareto_frontier, pareto_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import CertificationRuntime
@@ -366,7 +366,7 @@ class CertificationEngine:
         """
         dataset = request.dataset
         # Requests resolve n_classes at construction; re-resolving here keeps
-        # hand-built requests (or shims bypassing __post_init__) honest.
+        # hand-built requests honest.
         model = resolve_model_classes(request.model, dataset.n_classes)
         rows = [np.asarray(row, dtype=float) for row in request.points]
         yield from self.scheduler.stream_rows(dataset, model, rows, n_jobs=n_jobs)
@@ -535,9 +535,6 @@ class CertificationEngine:
         runtime answers them from the persistent cache with monotone
         derivation.
         """
-        # Deferred: repro.verify.search imports the deprecated verifier shim.
-        from repro.verify.search import max_certified_poisoning
-
         return max_certified_poisoning(
             self, dataset, x, start=start, max_n=max_budget, model=model
         )
@@ -560,8 +557,6 @@ class CertificationEngine:
         — and therefore through an attached runtime's componentwise
         pair-dominance cache derivation.
         """
-        from repro.verify.search import pareto_frontier
-
         return pareto_frontier(
             self, dataset, x, max_remove=max_remove, max_flip=max_flip, model=model
         )
@@ -577,8 +572,6 @@ class CertificationEngine:
         n_jobs: int = 1,
     ):
         """Per-point Pareto frontiers for a batch of test points."""
-        from repro.verify.search import pareto_sweep
-
         return pareto_sweep(
             self,
             dataset,

@@ -27,11 +27,10 @@ The CLI exposes the main workflows without writing any Python:
 * ``repro-antidote serve SOCKET --cache-dir DIR`` — run the certification
   daemon: one warm runtime (published datasets, warm request plans, open
   verdict cache) serving the versioned JSON-lines protocol over a
-  Unix-domain socket — or over TCP with ``--tcp HOST:PORT`` — with optional
-  micro-batching of concurrent single-point frames (``--batch-window``);
-  point ``verify``/``certify``/``sweep`` at it with ``--connect ADDRESS``
-  (socket path or ``host:port``) to certify against the warm remote runtime
-  instead of a cold local engine;
+  Unix-domain socket — or over TCP with ``--tcp HOST:PORT``; point
+  ``verify``/``certify``/``sweep`` at it with ``--connect ADDRESS`` (socket
+  path or ``host:port``) to certify against the warm remote runtime instead
+  of a cold local engine;
 * ``repro-antidote route --tcp HOST:PORT --backend ADDR ...`` — run the
   fleet router: shards requests across backends by dataset fingerprint
   (consistent hashing), health-checks them, fails over mid-request, and
@@ -316,12 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind a TCP listener instead of a Unix socket "
                        "(fleet mode: reachable by `repro-antidote route` "
                        "backends on other hosts)")
-    serve.add_argument("--batch-window", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="coalesce concurrent single-point certify frames "
-                       "for the same (dataset, model, engine) into pooled "
-                       "scheduler batches, holding each window open this long "
-                       "(default: 0, batching off)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent verdict cache served to every client "
                        "(default: an ephemeral cache living as long as the "
@@ -977,7 +970,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         shared_memory=not args.no_shared_memory,
         max_engines=args.max_engines,
-        batch_window=args.batch_window,
     )
     cache = "ephemeral" if args.cache_dir is None else args.cache_dir
     print(f"serving certifications on {server.address} (cache: {cache})")

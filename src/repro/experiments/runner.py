@@ -14,7 +14,6 @@ aggregate through :class:`repro.api.CertificationReport`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +29,6 @@ from repro.runtime import CertificationRuntime
 from repro.utils.memory import trace_allocations
 from repro.utils.rng import derive_seed, make_rng
 from repro.verify.result import VerificationResult
-from repro.verify.robustness import PoisoningVerifier
 
 
 def load_experiment_split(dataset_name: str, config: ExperimentConfig) -> DatasetSplit:
@@ -89,24 +87,6 @@ def make_engine(
         max_disjuncts=config.max_disjuncts,
         runtime=make_runtime(config),
     )
-
-
-def make_verifier(
-    depth: int, domain: str, config: ExperimentConfig
-) -> PoisoningVerifier:
-    """Deprecated: build a legacy verifier for one grid cell.
-
-    Kept for backwards compatibility; new code should use :func:`make_engine`.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return PoisoningVerifier(
-            max_depth=depth,
-            domain=domain,
-            cprob_method=config.cprob_method,
-            timeout_seconds=config.timeout_seconds,
-            max_disjuncts=config.max_disjuncts,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """`repro.fleet` — multi-host certification serving.
 
 One :class:`~repro.service.server.CertificationServer` keeps one machine's
-runtime warm; this subsystem keeps a *fleet* warm.  Four pieces, layered on
+runtime warm; this subsystem keeps a *fleet* warm.  Three pieces, layered on
 the versioned JSON-lines protocol of :mod:`repro.service`:
 
 * **TCP transport** — ``repro serve --tcp HOST:PORT`` binds the existing
@@ -16,10 +16,7 @@ the versioned JSON-lines protocol of :mod:`repro.service`:
   backends, retries with backoff, fails over mid-request (streams resume
   on the next ring node with only the unserved points), and optionally
   replicates dominance-derivable verdict rows between servers — N warm
-  servers, one logical cache;
-* :class:`MicroBatcher` — server-side coalescing of concurrent
-  single-point certify frames into pooled scheduler windows
-  (``repro serve --batch-window``).
+  servers, one logical cache.
 
 Start two shard servers and a router::
 
@@ -32,7 +29,6 @@ then point any client at the router: ``repro-antidote certify ... --connect
 127.0.0.1:7300``.
 """
 
-from repro.fleet.batching import MicroBatcher
 from repro.fleet.health import HealthMonitor
 from repro.fleet.link import BackendPool
 from repro.fleet.ring import HashRing, shard_key
@@ -43,6 +39,5 @@ __all__ = [
     "CertificationRouter",
     "HashRing",
     "HealthMonitor",
-    "MicroBatcher",
     "shard_key",
 ]

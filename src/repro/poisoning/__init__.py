@@ -14,8 +14,6 @@
 from repro.poisoning.attacks import AttackResult, greedy_removal_attack, random_removal_attack
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
-    FlipVerificationResult,
-    LabelFlipVerifier,
     verify_composite_by_enumeration,
     verify_flips_by_enumeration,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "greedy_removal_attack",
     "random_removal_attack",
     "FlipAbstractTrainingSet",
-    "FlipVerificationResult",
-    "LabelFlipVerifier",
     "verify_composite_by_enumeration",
     "verify_flips_by_enumeration",
     "CompositePoisoningModel",

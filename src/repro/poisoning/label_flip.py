@@ -21,8 +21,10 @@ the transformer protocol the generic learners dispatch on
 ``abstract_best_split`` / ``split_down`` / ``join``), so both the Box-style
 :class:`~repro.verify.abstract_learner.BoxAbstractLearner` and the
 disjunctive :class:`~repro.verify.disjunctive_learner.DisjunctiveAbstractLearner`
-run directly on flip/composite abstractions; :class:`LabelFlipVerifier` is
-the thin Box-only convenience wrapper kept for the original extension API.
+run directly on flip/composite abstractions.  Certification runs through
+:class:`repro.api.CertificationEngine` with a
+:class:`~repro.poisoning.models.LabelFlipModel` or
+:class:`~repro.poisoning.models.CompositePoisoningModel`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from repro.core.predicates import (
 )
 from repro.core import split_plan
 from repro.core.trace_learner import TraceLearner
-from repro.domains.interval import Interval, dominating_component, join_interval_vectors, mul_bounds
+from repro.domains.interval import Interval, join_interval_vectors, mul_bounds
 from repro.domains.predicate_set import AbstractPredicateSet
-from repro.utils.timing import TimeBudget
 from repro.utils.validation import ValidationError, check_index_array, check_positive_int
 
 
@@ -556,82 +557,6 @@ def flip_best_split_abstract(
         result = (selected, False)
     plan.store_best_split(cache_key, result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# The abstract learner and verification driver
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlipVerificationResult:
-    """Outcome of certifying a point against the combined threat model."""
-
-    robust: bool
-    predicted_class: int
-    certified_class: Optional[int]
-    class_intervals: Tuple[Interval, ...]
-    removals: int
-    flips: int
-
-
-@dataclass
-class LabelFlipVerifier:
-    """Box-style abstract verifier for the removal + label-flip threat model.
-
-    ``verify(dataset, x, flips, removals=0)`` proves that the classification
-    of ``x`` is unchanged for every dataset obtained by removing up to
-    ``removals`` elements and flipping up to ``flips`` labels of ``dataset``.
-
-    Since :class:`FlipAbstractTrainingSet` became a first-class citizen of the
-    transformer protocol, this class is a thin wrapper over the generic
-    :class:`~repro.verify.abstract_learner.BoxAbstractLearner` (the engine
-    additionally runs the disjunctive learner on the same abstractions for
-    ``domain="disjuncts"/"either"``).
-    """
-
-    max_depth: int = 2
-
-    def run_abstract(
-        self,
-        trainset: FlipAbstractTrainingSet,
-        x: Sequence[float],
-        *,
-        time_budget: Optional[TimeBudget] = None,
-    ):
-        """Run the generic Box learner on a flip abstraction."""
-        # Deferred import: repro.verify's package init pulls in the legacy
-        # verifier shim, which imports back into repro.poisoning.
-        from repro.verify.abstract_learner import BoxAbstractLearner
-
-        learner = BoxAbstractLearner(max_depth=self.max_depth)
-        return learner.run(trainset, x, time_budget=time_budget)
-
-    def run(
-        self,
-        trainset: FlipAbstractTrainingSet,
-        x: Sequence[float],
-        *,
-        time_budget: Optional[TimeBudget] = None,
-    ) -> Tuple[Tuple[Interval, ...], int]:
-        result = self.run_abstract(trainset, x, time_budget=time_budget)
-        return result.class_intervals, result.iterations
-
-    def verify(
-        self, dataset: Dataset, x: Sequence[float], flips: int, removals: int = 0
-    ) -> FlipVerificationResult:
-        trainset = FlipAbstractTrainingSet.full(dataset, removals, flips)
-        predicted = TraceLearner(max_depth=self.max_depth).predict(dataset, x)
-        intervals, _ = self.run(trainset, x)
-        certified = dominating_component(intervals)
-        return FlipVerificationResult(
-            robust=certified is not None,
-            predicted_class=int(predicted),
-            certified_class=certified,
-            class_intervals=intervals,
-            removals=removals,
-            flips=flips,
-        )
 
 
 # ---------------------------------------------------------------------------

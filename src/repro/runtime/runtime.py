@@ -47,6 +47,7 @@ from repro.runtime.shm import DatasetStore, SharedDatasetHandle, default_store
 from repro.telemetry import events, metrics
 from repro.utils.validation import check_finite_points
 from repro.verify.result import VerificationResult
+from repro.verify.search import max_certified_poisoning, pareto_frontier
 
 _CACHE_LOOKUPS = metrics.counter(
     "cache_lookups_total",
@@ -607,9 +608,6 @@ class CertificationRuntime:
         binds its attempts to this runtime's cache and counts how many of
         them actually ran the learner.
         """
-        # Deferred: repro.verify.search pulls in the deprecated verifier shim.
-        from repro.verify.search import max_certified_poisoning
-
         self._reset_op_counters()
         search = max_certified_poisoning(
             _CacheBoundVerifier(self, engine),
@@ -650,8 +648,6 @@ class CertificationRuntime:
         derivation answers dominated/dominating queries without the learner —
         and counts how many probes actually ran it.
         """
-        from repro.verify.search import pareto_frontier
-
         self._reset_op_counters()
         outcome = pareto_frontier(
             _CacheBoundVerifier(self, engine),

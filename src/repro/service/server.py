@@ -21,15 +21,10 @@ Each client connection is served by its own thread
 (:class:`socketserver.ThreadingMixIn`); ``SIGTERM``/``SIGINT`` shut the
 server down cleanly (socket file removed, cache committed and closed).
 
-Two fleet-serving extensions (protocol minor 2, see :mod:`repro.fleet`):
-
-* ``batch_window > 0`` coalesces concurrent single-point ``certify`` frames
-  for the same (dataset, model, engine) into pooled execution windows
-  through the engine's scheduler — a storm of tiny requests certifies as
-  one batch;
-* the ``cache_probe`` / ``cache_fetch`` / ``cache_ingest`` ops expose the
-  verdict cache's content-addressed rows so a router can replicate
-  dominance-derivable verdicts between shard servers.
+For the fleet (protocol minor 2, see :mod:`repro.fleet`), the
+``cache_probe`` / ``cache_fetch`` / ``cache_ingest`` ops expose the verdict
+cache's content-addressed rows so a router can replicate dominance-derivable
+verdicts between shard servers.
 """
 
 from __future__ import annotations
@@ -209,11 +204,6 @@ class CertificationServer:
         Whether pool workers attach datasets from shared memory.
     max_engines / max_datasets:
         Bounds of the engine-configuration and decoded-dataset LRUs.
-    batch_window:
-        Seconds to hold a concurrent single-point ``certify`` frame open for
-        coalescing with others of the same (dataset, model, engine) before
-        flushing the pooled window through the scheduler.  ``0`` (default)
-        disables micro-batching.
     """
 
     def __init__(
@@ -225,7 +215,6 @@ class CertificationServer:
         shared_memory: bool = True,
         max_engines: int = 8,
         max_datasets: int = 16,
-        batch_window: float = 0.0,
     ) -> None:
         if (socket_path is None) == (tcp is None):
             raise ValidationError(
@@ -249,13 +238,6 @@ class CertificationServer:
         self.backend_id: Optional[str] = (
             None if self.socket_path is None else str(self.socket_path)
         )
-        self.batch_window = float(batch_window)
-        self._batcher = None
-        if self.batch_window > 0:
-            # Deferred import: repro.fleet is layered above repro.service.
-            from repro.fleet.batching import MicroBatcher
-
-            self._batcher = MicroBatcher(window_seconds=self.batch_window)
         self._ephemeral_cache: Optional[tempfile.TemporaryDirectory] = None
         if cache_dir is None:
             self._ephemeral_cache = tempfile.TemporaryDirectory(prefix="repro-serve-")
@@ -469,12 +451,6 @@ class CertificationServer:
 
     def _op_certify(self, params: dict) -> dict:
         engine, request, n_jobs = self._decode_certify(params)
-        # Single-point frames can coalesce into a pooled window when
-        # micro-batching is enabled; the window leader runs them through the
-        # scheduler as one batch.
-        if self._batcher is not None and len(request.points) == 1:
-            report = self._batcher.certify_one(engine, request)
-            return {"report": report.to_dict()}
         # engine.verify assembles the report exactly as the in-process API
         # does; runtime batch counters are thread-local, so this handler
         # thread's stream cannot pick up a concurrent request's stats.

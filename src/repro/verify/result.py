@@ -1,14 +1,13 @@
-"""Verification outcome types shared by the engine, the legacy driver, and reports.
+"""Verification outcome types shared by the engine, the runtime, and reports.
 
 :class:`VerificationStatus` and :class:`VerificationResult` describe the
 outcome of certifying a single test point against a poisoning threat model:
 whether a single class interval dominates (the point is *certified robust*),
 or whether the analysis was inconclusive, timed out, or exhausted its
 disjunct/memory budget — the same failure modes reported in §6.1 of the
-paper.  They live in their own module so that both the modern
-:class:`repro.api.CertificationEngine` and the deprecated
-:class:`repro.verify.robustness.PoisoningVerifier` shim can share them
-without an import cycle.
+paper.  They live in their own module so that the verifier package, the
+runtime cache, and :class:`repro.api.CertificationEngine` can share them
+without importing the engine.
 """
 
 from __future__ import annotations

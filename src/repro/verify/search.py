@@ -25,9 +25,8 @@ for *every* :class:`~repro.poisoning.models.PerturbationModel` family, via the
 * :func:`pareto_sweep` — the batch frontier over many points, optionally on a
   process pool (``n_jobs``).
 
-All entry points run on the unified :class:`repro.api.CertificationEngine`;
-a legacy :class:`~repro.verify.robustness.PoisoningVerifier` is still
-accepted and silently unwrapped to its engine.  Engines with an attached
+All entry points probe through ``certify_point`` / ``certify_batch`` of the
+:class:`repro.api.CertificationEngine` they are given.  Engines with an attached
 :class:`~repro.runtime.CertificationRuntime` answer probes from the
 persistent verdict cache (scalar budget monotonicity for the one-dimensional
 families, componentwise ``(r, f)`` pair dominance for the composite family),
@@ -47,7 +46,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -60,24 +58,13 @@ from repro.poisoning.models import (
 )
 from repro.utils.validation import ValidationError
 from repro.verify.result import VerificationResult, VerificationStatus
-from repro.verify.robustness import PoisoningVerifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.engine import CertificationEngine
 
-#: Either the modern engine or the deprecated shim.
-VerifierLike = Union["CertificationEngine", PoisoningVerifier]
-
 #: Anything accepted as the family template of a search: a model instance
 #: whose budget is rebound per probe, or ``None`` for the paper's ``Δn``.
 ModelTemplate = Optional[PerturbationModel]
-
-
-def _as_engine(verifier: VerifierLike) -> "CertificationEngine":
-    # Duck-typed (rather than isinstance) so this module never has to import
-    # the engine at module scope, which would recreate the api/verify cycle.
-    engine = getattr(verifier, "engine", None)
-    return engine if engine is not None else verifier
 
 
 def _scalar_template(model: ModelTemplate) -> PerturbationModel:
@@ -133,7 +120,7 @@ class PoisoningSearchResult:
 
 
 def max_certified_poisoning(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     x: Sequence[float],
     *,
@@ -149,7 +136,6 @@ def max_certified_poisoning(
     ``model.with_budget(n)``, so removal, fractional, and label-flip models
     are all swept by the same machinery (``None`` means the paper's ``Δn``).
     """
-    engine = _as_engine(verifier)
     template = _scalar_template(model)
     if max_n is None:
         max_n = len(dataset)
@@ -200,7 +186,7 @@ class SweepRecord:
 
 
 def robustness_sweep(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     test_points: np.ndarray,
     amounts: Sequence[int],
@@ -220,7 +206,6 @@ def robustness_sweep(
     :func:`max_certified_poisoning`; duplicate entries of ``amounts`` are
     collapsed so no level is ever certified (or recorded) twice.
     """
-    engine = _as_engine(verifier)
     template = _scalar_template(model)
     test_points = np.asarray(test_points, dtype=float)
     total = test_points.shape[0]
@@ -410,7 +395,7 @@ def _largest_certified(
 
 
 def pareto_frontier(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     x: Sequence[float],
     *,
@@ -435,7 +420,6 @@ def pareto_frontier(
     overlapping frontiers — and re-runs of the same frontier — reuse prior
     verdicts instead of re-running the learner.
     """
-    engine = _as_engine(verifier)
     template = _pair_template(model)
     size = len(dataset)
     max_remove = size if max_remove is None else min(int(max_remove), size)
@@ -477,7 +461,7 @@ def pareto_frontier(
 
 
 def pareto_sweep(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     points: np.ndarray,
     *,
@@ -494,7 +478,6 @@ def pareto_sweep(
     only happens in the serial path — exactly as for batch certification).
     Pool failures fall back to serial computation.
     """
-    engine = _as_engine(verifier)
     template = _pair_template(model)
     rows = [np.asarray(row, dtype=float) for row in np.asarray(points, dtype=float)]
     workers = min(int(n_jobs), len(rows))

@@ -139,6 +139,18 @@ class TestSoundnessBoundary:
         )
         assert _run(tmp_path, self._rule()).ok
 
+    def test_search_protocol_is_not_exempt_by_default(self, tmp_path):
+        """Only the enumeration oracles may import the concrete learner."""
+        _write(
+            tmp_path,
+            "src/repro/verify/search.py",
+            """
+            from repro.core.trace_learner import TraceLearner
+            """,
+        )
+        report = _run(tmp_path, SoundnessBoundaryRule(kernels=()))
+        assert [f.rule for f in report.new_findings] == ["soundness-boundary"]
+
     def test_raw_bound_comparison_fires(self, tmp_path):
         _write(
             tmp_path,

@@ -35,6 +35,8 @@ class TestConfiguration:
         engine = CertificationEngine(max_depth=1)
         with pytest.raises(ValueError):
             engine.certify_point(figure2_dataset(), [5.0], -1)
+        with pytest.raises(ValueError):
+            engine.certify_batch(figure2_dataset(), np.array([[5.0]]), -2)
 
     def test_rejects_non_model_threat(self):
         with pytest.raises(ValueError):
@@ -158,17 +160,6 @@ class TestThreatModelDispatch:
                 well_separated_dataset(), [0.5], LabelFlipModel(2)
             )
             assert not box_only.is_certified
-
-    def test_label_flip_matches_extension_verifier(self):
-        from repro.poisoning.label_flip import LabelFlipVerifier
-
-        dataset = well_separated_dataset()
-        engine = CertificationEngine(max_depth=2, domain="box")
-        unified = engine.certify_point(dataset, [0.5], LabelFlipModel(3))
-        extension = LabelFlipVerifier(max_depth=2).verify(dataset, [0.5], flips=3)
-        assert unified.is_certified == extension.robust
-        assert unified.certified_class == extension.certified_class
-        assert unified.class_intervals == extension.class_intervals
 
     def test_oversized_budget_reports_requested_amount(self):
         """Legacy parity: n > |T| is clamped for the abstraction but reported as given."""
@@ -325,22 +316,6 @@ class TestPlanCacheLRU:
         assert engine._plan_for(dataset, hot_model) is hot_plan
         cached_models = {model for _, model in engine._plan_cache}
         assert RemovalPoisoningModel(2) not in cached_models
-
-
-class TestParityWithLegacyVerifier:
-    def test_matches_poisoning_verifier_on_figure2(self):
-        from repro.verify.robustness import PoisoningVerifier
-
-        dataset = figure2_dataset()
-        engine = CertificationEngine(max_depth=2, domain="either")
-        with pytest.deprecated_call():
-            verifier = PoisoningVerifier(max_depth=2, domain="either")
-        for n in (0, 1, 2, 8):
-            modern = engine.certify_point(dataset, [5.0], n)
-            legacy = verifier.verify(dataset, [5.0], n)
-            assert modern.status == legacy.status
-            assert modern.certified_class == legacy.certified_class
-            assert modern.class_intervals == legacy.class_intervals
 
 
 class TestResourceHandling:

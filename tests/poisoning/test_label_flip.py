@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import CertificationEngine
 from repro.core.dataset import Dataset
 from repro.core.predicates import ThresholdPredicate
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
@@ -10,7 +11,6 @@ from repro.domains.interval import dominating_component
 from repro.domains.predicate_set import AbstractPredicateSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
-    LabelFlipVerifier,
     _flip_side_score_bounds,
     _flip_split_score_bounds,
     enumerate_composite_poisonings,
@@ -19,6 +19,8 @@ from repro.poisoning.label_flip import (
     verify_composite_by_enumeration,
     verify_flips_by_enumeration,
 )
+from repro.poisoning.models import CompositePoisoningModel, LabelFlipModel
+from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.transformers import filter_abstract
 from tests.conftest import random_small_dataset, random_test_point, well_separated_dataset
@@ -111,31 +113,37 @@ class TestFlipTransformers:
         assert filter_abstract(trainset, AbstractPredicateSet.of(()), [4.0]) is None
 
 
-class TestLabelFlipVerifier:
+class TestBoxFlipCertification:
+    """The flip and composite families certified on the engine's Box rung."""
+
     def test_zero_budget_certifies(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(figure2_dataset(), [18.0], flips=0)
-        assert result.robust
+        engine = CertificationEngine(max_depth=1, domain="box")
+        result = engine.certify_point(figure2_dataset(), [18.0], LabelFlipModel(0))
+        assert result.is_certified
         assert result.certified_class == result.predicted_class == 1
 
     def test_well_separated_data_certified_against_flips(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(well_separated_dataset(50), [0.5], flips=2)
-        assert result.robust
+        engine = CertificationEngine(max_depth=1, domain="box")
+        result = engine.certify_point(
+            well_separated_dataset(50), [0.5], LabelFlipModel(2)
+        )
+        assert result.is_certified
         assert result.certified_class == 0
 
     def test_combined_budget_certified(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(
-            well_separated_dataset(50), [11.0], flips=1, removals=1
+        engine = CertificationEngine(max_depth=1, domain="box")
+        result = engine.certify_point(
+            well_separated_dataset(50), [11.0], CompositePoisoningModel(1, 1)
         )
-        assert result.robust
+        assert result.is_certified
         assert result.certified_class == 1
 
     def test_excessive_flips_not_certified(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(tiny_boolean_dataset(), [1.0, 0.0], flips=4)
-        assert not result.robust
+        engine = CertificationEngine(max_depth=1, domain="box")
+        result = engine.certify_point(
+            tiny_boolean_dataset(), [1.0, 0.0], LabelFlipModel(4)
+        )
+        assert not result.is_certified
 
     @pytest.mark.parametrize("seed", range(10))
     def test_soundness_against_flip_enumeration(self, seed):
@@ -144,9 +152,9 @@ class TestLabelFlipVerifier:
         x = random_test_point(rng, dataset)
         flips = int(rng.integers(1, 3))
         depth = int(rng.integers(1, 3))
-        verifier = LabelFlipVerifier(max_depth=depth)
-        result = verifier.verify(dataset, x, flips=flips)
-        if result.robust:
+        engine = CertificationEngine(max_depth=depth, domain="box")
+        result = engine.certify_point(dataset, x, LabelFlipModel(flips))
+        if result.is_certified:
             assert verify_flips_by_enumeration(dataset, x, flips, max_depth=depth)
 
 
@@ -228,8 +236,9 @@ class TestDisjunctiveFlipSoundness:
         can only be at least as precise.
         """
         dataset = well_separated_dataset()
-        verifier = LabelFlipVerifier(max_depth=1)
-        box = verifier.run_abstract(FlipAbstractTrainingSet.full(dataset, 0, 2), [0.5])
+        box = BoxAbstractLearner(max_depth=1).run(
+            FlipAbstractTrainingSet.full(dataset, 0, 2), [0.5]
+        )
         disjunctive = DisjunctiveAbstractLearner(max_depth=1).run(
             FlipAbstractTrainingSet.full(dataset, 0, 2), [0.5]
         )
@@ -242,8 +251,6 @@ class TestDisjunctiveFlipSoundness:
 
 class TestCompositeEnumeration:
     def test_counts_match_model_formula(self):
-        from repro.poisoning.models import CompositePoisoningModel
-
         dataset = Dataset(
             X=np.zeros((3, 1)), y=np.array([0, 1, 2]), n_classes=3
         )

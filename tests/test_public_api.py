@@ -1,6 +1,15 @@
 """Tests that the package's public API surface is importable and coherent."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import repro
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPublicApi:
@@ -20,7 +29,31 @@ class TestPublicApi:
     def test_quickstart_flow(self):
         """The docstring quickstart must actually run."""
         split = repro.load_dataset("iris", scale=0.3, seed=1)
-        verifier = repro.PoisoningVerifier(max_depth=1, domain="box")
-        result = verifier.verify(split.train, split.test.X[0], n=1)
+        engine = repro.CertificationEngine(max_depth=1, domain="box")
+        result = engine.certify_point(split.train, split.test.X[0], 1)
         assert isinstance(result, repro.VerificationResult)
         assert result.status in list(repro.VerificationStatus)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.api",
+        "repro.verify",
+        "repro.verify.search",
+        "repro.poisoning",
+        "repro.runtime",
+        "repro.service.server",
+    ],
+)
+def test_module_imports_first_in_fresh_interpreter(module):
+    """Each layer imports cleanly as a process's first import (no cycle)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

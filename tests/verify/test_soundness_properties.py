@@ -11,6 +11,7 @@ both ``cprob#`` transformers, boolean and real features, and several depths.
 import numpy as np
 import pytest
 
+from repro.api import CertificationEngine
 from repro.core.trace_learner import TraceLearner
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.attacks import greedy_removal_attack, random_removal_attack
@@ -21,7 +22,6 @@ from repro.poisoning.label_flip import (
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.enumeration import verify_by_enumeration
-from repro.verify.robustness import PoisoningVerifier
 from tests.conftest import (
     random_small_dataset,
     random_test_point,
@@ -53,8 +53,8 @@ class TestCertificationImpliesRobustness:
     @pytest.mark.parametrize("seed", range(25))
     def test_either_domain_never_certifies_a_non_robust_point(self, seed):
         _, dataset, x, n, depth = _scenario(seed)
-        verifier = PoisoningVerifier(max_depth=depth, domain="either")
-        result = verifier.verify(dataset, x, n)
+        engine = CertificationEngine(max_depth=depth, domain="either")
+        result = engine.certify_point(dataset, x, n)
         if result.is_certified:
             oracle = verify_by_enumeration(dataset, x, n, max_depth=depth)
             assert oracle.robust, (
@@ -148,8 +148,8 @@ class TestAttackVerifierConsistency:
             )
         if not attack.success:
             return
-        verifier = PoisoningVerifier(max_depth=depth, domain="either")
-        result = verifier.verify(dataset, x, n)
+        engine = CertificationEngine(max_depth=depth, domain="either")
+        result = engine.certify_point(dataset, x, n)
         assert not result.is_certified
 
     @pytest.mark.parametrize("seed", range(70, 80))
