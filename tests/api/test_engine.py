@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.api import CertificationEngine, CertificationRequest, as_perturbation_model
+from repro.core.trace_learner import TraceLearner
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.datasets.toy import figure2_dataset
+from repro.domains.interval import Interval, dominating_component
+from repro.poisoning.label_flip import FlipAbstractTrainingSet
 from repro.poisoning.models import (
     CompositePoisoningModel,
     FractionalRemovalModel,
@@ -16,6 +19,7 @@ from repro.poisoning.models import (
 )
 from repro.utils.memory import trace_allocations
 from repro.utils.validation import ValidationError
+from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.result import VerificationResult, VerificationStatus
 from tests.conftest import well_separated_dataset
 
@@ -160,6 +164,24 @@ class TestThreatModelDispatch:
                 well_separated_dataset(), [0.5], LabelFlipModel(2)
             )
             assert not box_only.is_certified
+
+    @pytest.mark.parametrize(
+        "model, removals, flips",
+        [(LabelFlipModel(3), 0, 3), (CompositePoisoningModel(1, 2), 1, 2)],
+        ids=["flip", "composite"],
+    )
+    def test_flip_family_box_rung_is_the_box_learner(self, model, removals, flips):
+        """A Box flip verdict is the generic Box learner run on the flip abstraction."""
+        dataset = well_separated_dataset()
+        engine = CertificationEngine(max_depth=2, domain="box")
+        unified = engine.certify_point(dataset, [0.5], model)
+        direct = BoxAbstractLearner(max_depth=2).run(
+            FlipAbstractTrainingSet.full(dataset, removals, flips), [0.5]
+        )
+        assert unified.class_intervals == direct.class_intervals
+        assert unified.certified_class == dominating_component(direct.class_intervals)
+        assert unified.is_certified == (unified.certified_class is not None)
+        assert unified.predicted_class == TraceLearner(max_depth=2).predict(dataset, [0.5])
 
     def test_oversized_budget_reports_requested_amount(self):
         """Legacy parity: n > |T| is clamped for the abstraction but reported as given."""
@@ -316,6 +338,32 @@ class TestPlanCacheLRU:
         assert engine._plan_for(dataset, hot_model) is hot_plan
         cached_models = {model for _, model in engine._plan_cache}
         assert RemovalPoisoningModel(2) not in cached_models
+
+
+class TestRecordedFigure2Verdicts:
+    """Figure 2 verdicts (x = 5, depth 2, ``either``) recorded from the removed
+    ``PoisoningVerifier``; the engine that replaced it must reproduce them."""
+
+    FULL = (Interval(0.0, 1.0), Interval(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "n, status, certified, domain, intervals",
+        [
+            (0, VerificationStatus.ROBUST, 0, "box",
+             (Interval(0.875, 0.875), Interval(0.125, 0.125))),
+            (1, VerificationStatus.UNKNOWN, None, "disjuncts", FULL),
+            (2, VerificationStatus.UNKNOWN, None, "disjuncts", FULL),
+            (8, VerificationStatus.UNKNOWN, None, "disjuncts", FULL),
+        ],
+    )
+    def test_matches_recorded_verdict(self, n, status, certified, domain, intervals):
+        engine = CertificationEngine(max_depth=2, domain="either")
+        result = engine.certify_point(figure2_dataset(), [5.0], n)
+        assert result.status is status
+        assert result.certified_class == certified
+        assert result.predicted_class == 0
+        assert result.domain == domain
+        assert result.class_intervals == intervals
 
 
 class TestResourceHandling:

@@ -84,6 +84,18 @@ class TestVerification:
             sum(r.is_certified for r in results) / 3.0
         )
 
+    def test_batch_results_equal_per_point_results_in_order(self):
+        dataset = well_separated_dataset()
+        engine = CertificationEngine(max_depth=1, domain="box")
+        X_test = np.array([[0.5], [11.0], [1.0]])
+        batched = engine.certify_batch(dataset, X_test, 1).results
+        singles = [engine.certify_point(dataset, x, 1) for x in X_test]
+        assert [r.predicted_class for r in batched] == [0, 1, 0]
+        for got, want in zip(batched, singles, strict=True):
+            assert got.status == want.status
+            assert got.certified_class == want.certified_class
+            assert got.class_intervals == want.class_intervals
+
 
 class TestResultSerialization:
     def test_to_dict_roundtrips_through_json(self):
