@@ -32,10 +32,10 @@ The CLI exposes the main workflows without writing any Python:
   path or ``host:port``) to certify against the warm remote runtime instead
   of a cold local engine;
 * ``repro-antidote route --tcp HOST:PORT --backend ADDR ...`` — run the
-  fleet router: shards requests across backends by dataset fingerprint
-  (consistent hashing), health-checks them, fails over mid-request, and
-  replicates derivable verdict rows between their caches
-  (:mod:`repro.fleet`);
+  fleet router: shards requests across backends by a hash of the dataset's
+  wire payload (consistent hashing), health-checks them, fails over
+  mid-request, and otherwise forwards each request to one backend
+  unchanged (:mod:`repro.fleet`);
 * ``repro-antidote metrics [--connect SOCKET] [--format prometheus]`` — dump
   the telemetry registry (:mod:`repro.telemetry`) of this process or of a
   running daemon, as a JSON snapshot or Prometheus text exposition;
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     route = subparsers.add_parser(
         "route",
         help="run the fleet router: shard certification requests across "
-        "`repro-antidote serve` backends by dataset fingerprint",
+        "`repro-antidote serve` backends by a hash of the dataset payload",
     )
     route.add_argument("socket", metavar="SOCKET", nargs="?", default=None,
                        help="Unix-domain socket to listen on (omit when "
@@ -345,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="ADDRESS", dest="backends",
                        help="backend server address (host:port or Unix "
                        "socket path); repeat once per backend",)
-    route.add_argument("--no-replicate", action="store_true",
-                       help="disable cross-server replication of derivable "
-                       "verdict rows")
     route.add_argument("--health-interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="seconds between backend health probes")
@@ -993,7 +990,6 @@ def _command_route(args: argparse.Namespace) -> int:
         args.backends,
         tcp=args.tcp,
         socket_path=args.socket,
-        replicate=not args.no_replicate,
         health_interval=args.health_interval,
         request_timeout=args.request_timeout,
     )

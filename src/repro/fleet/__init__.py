@@ -13,10 +13,11 @@ the versioned JSON-lines protocol of :mod:`repro.service`:
   datasets, and verdict cache stay hot for its shard;
 * :class:`CertificationRouter` — the ``repro route`` daemon: speaks the
   same protocol to clients, relays frames to shard owners, health-checks
-  backends, retries with backoff, fails over mid-request (streams resume
-  on the next ring node with only the unserved points), and optionally
-  replicates dominance-derivable verdict rows between servers — N warm
-  servers, one logical cache.
+  backends, retries with backoff, and fails over mid-request (streams
+  resume on the next ring node with only the unserved points).  Otherwise
+  it is a pure forwarder: one backend call per routed request, and servers
+  never exchange verdicts, since each dataset's owner is the only cache
+  its repeat traffic reaches.
 
 Start two shard servers and a router::
 

@@ -1,10 +1,11 @@
 """Periodic backend health checks for the router.
 
-A background thread pings every backend on a fixed cadence and publishes
-liveness as the ``router_backend_up`` gauge.  The router consults
-:meth:`HealthMonitor.is_alive` to *skip* backends already known dead when
-picking a failover target — the monitor is an optimization, not the
-arbiter: a request that reaches a dead backend still fails over on its own
+A background thread pings every backend on a fixed cadence and records
+liveness, which the router's ``stats`` op reports as its ``backends`` map
+(state changes are also emitted as ``router.backend_state`` events).  The
+router consults :meth:`HealthMonitor.is_alive` to *skip* backends already
+known dead when picking a failover target — the monitor is an
+optimization, not the arbiter: a request that reaches a dead backend still fails over on its own
 transport error, and :meth:`mark_dead` feeds that observation back so the
 next request skips the corpse without waiting for the next probe cycle.
 """
@@ -16,16 +17,9 @@ from typing import Dict, Optional, Sequence
 
 from repro.service.client import CertificationClient
 from repro.service.protocol import ProtocolError, RemoteError
-from repro.telemetry import events, metrics
+from repro.telemetry import events
 
 __all__ = ["HealthMonitor"]
-
-_BACKEND_UP = metrics.gauge(
-    "router_backend_up",
-    "Backend liveness as last observed (1 up, 0 down).",
-    labelnames=("backend",),
-)
-
 
 class HealthMonitor:
     """Ping-based liveness tracking over a static backend list."""
@@ -49,8 +43,6 @@ class HealthMonitor:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        for backend in self.backends:
-            _BACKEND_UP.set(1.0, backend=backend)
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -86,7 +78,6 @@ class HealthMonitor:
         with self._lock:
             changed = self._alive.get(backend) != alive
             self._alive[backend] = alive
-        _BACKEND_UP.set(1.0 if alive else 0.0, backend=backend)
         if changed:
             events.emit(
                 "router.backend_state", backend=backend, up=alive

@@ -21,13 +21,12 @@ Robustness model:
 * **failover** — when a backend dies mid-request the router moves to the
   next distinct ring node (``router_failovers_total``).  For streams the
   router re-sends only the *unserved* points and renumbers the relayed
-  ``index`` fields, so the client sees one seamless, complete stream;
-* **replication** (``--replicate``) — before forwarding a certify to the
-  shard owner, the router probes its cache (``cache_probe``), asks sibling
-  backends for rows answering the misses (``cache_fetch``), and ingests
-  them into the owner (``cache_ingest``) — budget-monotone derivation runs
-  on the *receiving* server, so replication ships only proofs that some
-  server actually produced.
+  ``index`` fields, so the client sees one seamless, complete stream.
+
+The router is a pure forwarder: every routed ``certify`` or
+``certify_stream`` costs exactly one backend call.  Placement is static and
+each dataset has one shard owner, so that owner's verdict cache is the only
+one that answers the dataset's repeat traffic.
 
 Application errors (``RemoteError`` — the backend answered, the answer is
 an error) are relayed to the client and never trigger failover; only
@@ -75,11 +74,6 @@ _FAILOVERS = metrics.counter(
     "router_failovers_total",
     "Mid-request backend failures that moved the request to the next ring node.",
 )
-_REPLICATION = metrics.counter(
-    "router_replication_total",
-    "Verdict rows considered for cross-server replication, by outcome.",
-    labelnames=("outcome",),
-)
 
 #: Operations routed by dataset shard (their params carry a dataset payload).
 _SHARDED_OPS = frozenset(
@@ -88,15 +82,11 @@ _SHARDED_OPS = frozenset(
         "max_certified",
         "pareto_frontier",
         "pareto_sweep",
-        "cache_probe",
     }
 )
 
 #: Operations fanned out to every live backend, results keyed by backend.
 _FANOUT_OPS = frozenset({"cache_stats", "cache_gc"})
-
-#: Sharded ops that trigger cache replication before forwarding.
-_REPLICATED_OPS = frozenset({"certify", "certify_stream"})
 
 
 class _ThreadingTCPRouter(socketserver.ThreadingMixIn, socketserver.TCPServer):
@@ -177,9 +167,6 @@ class CertificationRouter:
     tcp / socket_path:
         Where the router itself listens (exactly one; same semantics as
         :class:`~repro.service.server.CertificationServer`).
-    replicate:
-        Whether to replicate dominance-derivable verdict rows from sibling
-        backends into the shard owner before forwarding certify traffic.
     request_timeout:
         Per-request bound on backend calls (the half-open-backend guard).
         ``None`` disables it — sensible only when certifications are
@@ -192,7 +179,6 @@ class CertificationRouter:
         *,
         tcp: Optional[Union[str, Tuple[str, int]]] = None,
         socket_path: Optional[Union[str, Path]] = None,
-        replicate: bool = True,
         health_interval: float = 2.0,
         connect_timeout: float = 5.0,
         request_timeout: Optional[float] = None,
@@ -204,7 +190,6 @@ class CertificationRouter:
                 "router's own listening address"
             )
         self.ring = HashRing([format_address(backend) for backend in backends])
-        self.replicate = bool(replicate)
         self.retry_backoff = float(retry_backoff)
         self.pool = BackendPool(
             connect_timeout=connect_timeout, request_timeout=request_timeout
@@ -373,7 +358,6 @@ class CertificationRouter:
         return {
             "uptime_seconds": time.monotonic() - self._started_at,
             "backends": self.health.snapshot(),
-            "replicate": self.replicate,
             "metrics": metrics.get_registry().snapshot(),
         }
 
@@ -425,8 +409,6 @@ class CertificationRouter:
         for attempt in range(2):
             try:
                 with self.pool.lease(backend) as link:
-                    if op in _REPLICATED_OPS and self.replicate:
-                        self._replicate_into(link, backend, params)
                     return link.call(op, params)
             except (OSError, ProtocolError):
                 self.pool.invalidate(backend)
@@ -468,8 +450,6 @@ class CertificationRouter:
             remaining["points"] = rows[delivered:]
             try:
                 with self.pool.lease(backend) as link:
-                    if self.replicate:
-                        self._replicate_into(link, backend, remaining)
                     for frame in link.stream_frames("certify_stream", remaining):
                         if frame.get("ok") is False:
                             # Application error: relay verbatim, stream over.
@@ -520,83 +500,6 @@ class CertificationRouter:
             op=op,
             error_kind=events.classify_error(error),
         )
-
-    # ------------------------------------------------------------ replication
-    def _replicate_into(self, link, backend: str, params: dict) -> None:
-        """Best-effort: fill the shard owner's cache misses from siblings.
-
-        Never fails the request — replication is an optimization, and any
-        of the probe/fetch/ingest legs dying just means the owner certifies
-        from scratch like it would have anyway.
-        """
-        if len(self.ring.backends) < 2:
-            return
-        try:
-            probe = link.call(
-                "cache_probe",
-                {
-                    key: params.get(key)
-                    for key in ("engine", "dataset", "points", "model")
-                },
-            )
-            remaining = [
-                entry["digest"]
-                for entry in probe.get("points", ())
-                if not entry.get("cached")
-            ]
-            if not remaining:
-                return
-            coords = {
-                "dataset_fp": probe["dataset_fp"],
-                "family": probe["family"],
-                "engine_key": probe["engine_key"],
-                "budget": probe["budget"],
-                "monotone": probe.get("monotone", False),
-            }
-            gathered: List[dict] = []
-            for sibling in self.ring.backends:
-                if sibling == backend or not remaining:
-                    continue
-                if not self.health.is_alive(sibling):
-                    continue
-                try:
-                    with self.pool.lease(sibling) as other:
-                        fetched = other.call(
-                            "cache_fetch", {**coords, "digests": remaining}
-                        )
-                except (OSError, ProtocolError, RemoteError):
-                    continue
-                filled = set()
-                for digest, row in zip(remaining, fetched.get("rows") or ()):
-                    if row:
-                        gathered.append(
-                            {
-                                "digest": row["digest"],
-                                "budget": row["stored_budget"],
-                                "result": row["result"],
-                            }
-                        )
-                        filled.add(digest)
-                remaining = [d for d in remaining if d not in filled]
-            if gathered:
-                link.call(
-                    "cache_ingest",
-                    {
-                        "dataset_fp": coords["dataset_fp"],
-                        "family": coords["family"],
-                        "engine_key": coords["engine_key"],
-                        "rows": gathered,
-                    },
-                )
-                _REPLICATION.inc(len(gathered), outcome="replicated")
-            if remaining:
-                _REPLICATION.inc(len(remaining), outcome="unfilled")
-        except (OSError, ProtocolError, RemoteError) as error:
-            events.emit(
-                "router.replication_error",
-                backend=backend,
-                error_kind=events.classify_error(error),
-            )
 
     # --------------------------------------------------------------- fan-out
     def _fan_out(self, op: str, params: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Router tests: shard locality, failover, replication, fan-out, error relay.
+"""Router tests: shard locality, pure forwarding, failover, fan-out, error relay.
 
 These run real :class:`CertificationServer` backends over loopback TCP plus a
 :class:`CertificationRouter`, the exact topology of the CI fleet smoke — and
@@ -38,13 +38,20 @@ def _failover_count() -> float:
 
 @pytest.fixture
 def fleet(tmp_path):
-    """Two real TCP backends behind a router, all in-process."""
+    """Two real TCP backends behind a router, all in-process.
+
+    Health pings are an hour apart, so each backend's request count is
+    exactly the traffic a test sends.
+    """
     s1 = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "c1")
     s2 = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "c2")
     s1.start()
     s2.start()
     router = CertificationRouter(
-        [s1.address, s2.address], tcp="127.0.0.1:0", request_timeout=120.0
+        [s1.address, s2.address],
+        tcp="127.0.0.1:0",
+        health_interval=3600.0,
+        request_timeout=120.0,
     )
     router.start()
     wait_for_server(router.address, timeout=30)
@@ -54,6 +61,13 @@ def fleet(tmp_path):
         router.close()
         s1.close()
         s2.close()
+
+
+def _owner_and_sibling(s1, s2):
+    """The fleet's two servers, ordered (shard owner, sibling) for the dataset."""
+    key = shard_key(dataset_to_wire(well_separated_dataset()))
+    owner = HashRing([s1.address, s2.address]).primary(key)
+    return (s1, s2) if owner == s1.address else (s2, s1)
 
 
 class TestRouting:
@@ -86,16 +100,13 @@ class TestRouting:
 
     def test_shard_owner_matches_ring_prediction(self, fleet):
         router, s1, s2 = fleet
+        owner, sibling = _owner_and_sibling(s1, s2)
         dataset = well_separated_dataset()
-        ring = HashRing([s1.address, s2.address])
-        owner = ring.primary(shard_key(dataset_to_wire(dataset)))
-        sibling = s2 if owner == s1.address else s1
         with CertificationClient(router.address, max_depth=1, domain="box") as client:
             client.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
         # The predicted owner's cache holds the verdicts; the sibling's is
-        # empty (replication only fills the *owner* from siblings).
-        owner_server = s1 if owner == s1.address else s2
-        assert owner_server.runtime.cache.stats()["verdicts"] == len(POINTS)
+        # empty (servers never exchange verdicts).
+        assert owner.runtime.cache.stats()["verdicts"] == len(POINTS)
         assert sibling.runtime.cache.stats()["verdicts"] == 0
 
     def test_stream_through_router(self, fleet):
@@ -140,42 +151,55 @@ class TestRouting:
         assert stats["backends"] == {s1.address: True, s2.address: True}
 
 
-class TestReplication:
-    def test_owner_filled_from_sibling_cache(self, tmp_path):
-        """Acceptance: verdicts certified on one server answer on another."""
-        s1 = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "c1")
-        s2 = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "c2")
-        s1.start()
-        s2.start()
-        router = None
-        try:
-            backends = [s1.address, s2.address]
-            dataset = well_separated_dataset()
-            owner = HashRing(backends).primary(shard_key(dataset_to_wire(dataset)))
-            sibling = next(b for b in backends if b != owner)
-            # Warm the *sibling* — the backend the router will NOT pick.
-            with CertificationClient(sibling, max_depth=1, domain="box") as direct:
-                direct.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
-            router = CertificationRouter(
-                backends, tcp="127.0.0.1:0", request_timeout=120.0
-            )
-            router.start()
-            wait_for_server(router.address, timeout=30)
-            with CertificationClient(
-                router.address, max_depth=1, domain="box"
-            ) as client:
-                report = client.certify_batch(
-                    dataset, POINTS, RemovalPoisoningModel(1)
-                )
-            # The owner answered entirely from rows replicated off the
-            # sibling: no learner ran anywhere for this request.
-            assert report.runtime_stats["learner_invocations"] == 0
-            assert report.runtime_stats["cache_hits"] == len(POINTS)
-        finally:
-            if router is not None:
-                router.close()
-            s1.close()
-            s2.close()
+class TestPureForwarding:
+    def test_owner_certifies_what_the_sibling_already_knows(self, fleet):
+        """A verdict warm on the sibling is recomputed on the owner, equal."""
+        router, s1, s2 = fleet
+        owner, sibling = _owner_and_sibling(s1, s2)
+        dataset = well_separated_dataset()
+        with CertificationClient(sibling.address, max_depth=1, domain="box") as direct:
+            expected = direct.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
+        with CertificationClient(router.address, max_depth=1, domain="box") as client:
+            routed = client.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
+        assert routed.runtime_stats["learner_invocations"] > 0
+        assert owner.runtime.cache.stats()["verdicts"] == len(POINTS)
+        assert [r.status for r in routed.results] == [
+            r.status for r in expected.results
+        ]
+        assert [r.certified_class for r in routed.results] == [
+            r.certified_class for r in expected.results
+        ]
+
+    def test_one_backend_call_per_routed_request(self, fleet):
+        """A routed certify or stream is one operation on the owner, none elsewhere."""
+        router, s1, s2 = fleet
+        owner, sibling = _owner_and_sibling(s1, s2)
+        dataset = well_separated_dataset()
+        model = RemovalPoisoningModel(1)
+
+        def served():
+            return owner.requests_served, sibling.requests_served
+
+        with CertificationClient(router.address, max_depth=1, domain="box") as client:
+            # Warm-up: opens the router's pooled connection to the owner,
+            # whose handshake (``hello``) would otherwise count too.
+            client.certify_batch(dataset, POINTS, model)
+            before = served()
+            client.certify_batch(dataset, np.array([[1.0], [10.0]]), model)
+            after_certify = served()
+            list(client.certify_stream(dataset, np.array([[2.0], [9.0]]), model))
+            after_stream = served()
+        assert after_certify == (before[0] + 1, before[1])
+        assert after_stream == (after_certify[0] + 1, after_certify[1])
+
+    @pytest.mark.parametrize("op", ["cache_probe", "cache_fetch", "cache_ingest"])
+    def test_removed_cache_row_ops_are_unknown(self, fleet, op):
+        router, server, _ = fleet
+        for address in (router.address, server.address):
+            with CertificationClient(address) as client:
+                with pytest.raises(RemoteError, match="unknown operation") as info:
+                    client.call(op, {})
+            assert info.value.kind == "ProtocolError"
 
 
 class FlakyBackend:
@@ -256,32 +280,49 @@ class FlakyBackend:
             conn.close()
 
 
-class TestFailover:
-    def _fleet_with_flaky_primary(self, tmp_path, dataset, results_wire):
-        """A (flaky, real) pair where the *flaky* node owns the dataset.
+def _draw_shard_owner(tmp_path, key, draw, address_of):
+    """Start a real backend and draw a node that owns ``key`` beside it.
 
-        The flaky backend's ephemeral port changes the ring layout; draw
-        backends until the ring puts the dataset's shard on a flaky node
-        (p=1/2 per draw).  Every draw stays bound until then, so the kernel
-        cannot hand the same port back and repeat a losing layout.
-        """
-        real = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "real")
+    ``draw()`` binds one candidate on an ephemeral port; the ring layout
+    depends on both ports.  When one of the real backend's vnodes sits just
+    past ``key``, few candidate ports can claim the shard, and 64 draws can
+    all lose (about 1 run in 80 with a single real port).  So after 64
+    losing draws the real backend moves to a fresh port and the draw
+    repeats.  Losing candidates stay bound until the draw ends, so the
+    kernel cannot hand a losing port back.
+    """
+    for attempt in range(8):
+        real = CertificationServer(
+            tcp="127.0.0.1:0", cache_dir=tmp_path / f"real{attempt}"
+        )
         real.start()
-        key = shard_key(dataset_to_wire(dataset))
         drawn = []
         try:
             for _ in range(64):
-                flaky = FlakyBackend(results_wire, die_after=1)
-                drawn.append(flaky)
-                if HashRing([flaky.address, real.address]).primary(key) == flaky.address:
+                candidate = draw()
+                drawn.append(candidate)
+                address = address_of(candidate)
+                if HashRing([address, real.address]).primary(key) == address:
                     drawn.pop()
-                    return flaky, real
+                    return candidate, real
         finally:
             for reject in drawn:
                 reject.close()
         real.close()
-        raise AssertionError("could not place the flaky backend as shard owner")
+    raise AssertionError("could not place a drawn node as shard owner")
 
+
+def _bound_port():
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    return probe
+
+
+def _port_address(probe):
+    return "127.0.0.1:%d" % probe.getsockname()[1]
+
+
+class TestFailover:
     def test_mid_stream_death_fails_over_with_renumbered_indices(self, tmp_path):
         """Acceptance: a backend dying mid-batch still yields a full report."""
         dataset = well_separated_dataset()
@@ -295,11 +336,15 @@ class TestFailover:
                 for r in c.certify_stream(dataset, POINTS, RemovalPoisoningModel(1))
             ]
         seed.close()
-        flaky, real = self._fleet_with_flaky_primary(tmp_path, dataset, baked)
+        flaky, real = _draw_shard_owner(
+            tmp_path,
+            shard_key(dataset_to_wire(dataset)),
+            lambda: FlakyBackend(baked, die_after=1),
+            lambda candidate: candidate.address,
+        )
         router = CertificationRouter(
             [flaky.address, real.address],
             tcp="127.0.0.1:0",
-            replicate=False,  # the imposter has no cache ops
             request_timeout=120.0,
         )
         router.start()
@@ -328,37 +373,20 @@ class TestFailover:
 
     def test_dead_backend_skipped_after_first_failure(self, tmp_path):
         """After one observed death the router stops trying the corpse."""
-        real = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "real")
-        real.start()
         dataset = well_separated_dataset()
-        key = shard_key(dataset_to_wire(dataset))
         # A port bound but never listening: every connect is refused.  Draw
         # until the dead port *owns* the dataset's shard, so the first
         # request deterministically hits the corpse and fails over (the
         # alternative layout would leave liveness to the health-probe race).
-        # Every draw stays bound until then, so no port comes back twice;
-        # the owner stays bound for the whole test, so neither the router's
+        # The owner stays bound for the whole test, so neither the router's
         # listener nor an outgoing connection can take its port.
-        probes = []
-        for _ in range(64):
-            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            probe.bind(("127.0.0.1", 0))
-            probes.append(probe)
-            dead_address = "127.0.0.1:%d" % probe.getsockname()[1]
-            if HashRing([dead_address, real.address]).primary(key) == dead_address:
-                break
-        else:
-            for probe in probes:
-                probe.close()
-            real.close()
-            raise AssertionError("could not place the dead port as shard owner")
-        dead = probes.pop()
-        for reject in probes:
-            reject.close()
+        dead, real = _draw_shard_owner(
+            tmp_path, shard_key(dataset_to_wire(dataset)), _bound_port, _port_address
+        )
+        dead_address = _port_address(dead)
         router = CertificationRouter(
             [dead_address, real.address],
             tcp="127.0.0.1:0",
-            replicate=False,
             request_timeout=120.0,
         )
         router.start()

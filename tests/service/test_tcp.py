@@ -190,7 +190,7 @@ class TestNonFiniteRequests:
             "point": point,
         }
 
-    @pytest.mark.parametrize("op", ["certify", "cache_probe", "max_certified"])
+    @pytest.mark.parametrize("op", ["certify", "pareto_frontier", "max_certified"])
     @pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_point_rejected(self, tcp_server, op, token):
         self._assert_rejected(tcp_server, op, self._params([token]), "finite")
