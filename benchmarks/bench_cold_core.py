@@ -1,24 +1,15 @@
-"""Cold-path core benchmark: batch kernels + warm-started budget probes.
+"""Cold-path core benchmark: batch kernels against the pre-vectorization baseline.
 
-Measures the two layers of the vectorized/incremental learner core against
-the pre-vectorization baseline (0.5 points/sec on this workload, recorded
-before the batch interval kernels and the split-table plane landed):
-
-1. **Cold throughput** — a fresh engine with every split-table plan cleared
-   certifies 32 iris points (depth 2, ``domain="either"``, removal budget 4)
-   from scratch.  The speedup over the 0.5 pts/s baseline is the headline
-   number for the batch kernels; per-phase ``learner_phase_seconds`` deltas
-   attribute where the remaining cold time goes.
-2. **Probe-suffix reuse** — the same points re-certified on the now-warm
-   engine (identical verdicts required), plus a removal-budget ladder per
-   point, report ``trace_reuse_fraction``: the share of ``filter#`` steps
-   served by replaying a prior probe's trace instead of re-running the
-   split/join kernels.
+A fresh engine with every split-table plan cleared certifies 32 iris points
+(depth 2, ``domain="either"``, removal budget 4) from scratch.  The speedup
+over the 0.5 pts/s baseline (recorded before the batch interval kernels and
+the split-table plane landed) is the headline number for the batch kernels;
+per-phase ``learner_phase_seconds`` deltas attribute where the cold time
+goes.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_cold_core.py``);
-exits non-zero — the CI smoke gate — if the cold speedup falls below 5× or
-the warm arms show zero trace reuse.  Writes
-``results/BENCH_cold_core.json``.
+exits non-zero — the CI smoke gate — if the cold speedup falls below 5×.
+Writes ``results/BENCH_cold_core.json``.
 """
 
 from __future__ import annotations
@@ -44,8 +35,6 @@ from conftest import bench_config
 BASELINE_POINTS_PER_SECOND = 0.5
 MIN_COLD_SPEEDUP = 5.0
 TARGET_COLD_SPEEDUP = 10.0
-LADDER_POINTS = 4
-LADDER_BUDGETS = tuple(range(0, 9))
 
 
 def _workload():
@@ -92,7 +81,7 @@ def main() -> int:
     request = CertificationRequest(dataset, points, RemovalPoisoningModel(4))
     registry = metrics.get_registry()
 
-    # --- cold arm: no plans, no traces, fresh engine -----------------------
+    # --- cold arm: no plans, fresh engine ----------------------------------
     split_plan.clear_plans()
     engine = _engine(config)
     before = registry.snapshot()
@@ -108,29 +97,6 @@ def main() -> int:
     attributed = sum(
         seconds for key, seconds in phases.items() if not key.endswith("/split_table")
     )
-    consume = engine.consume_trace_stats()
-    cold_trace_steps, cold_trace_reused = consume
-
-    # --- warm rerun: same engine, same budget — verdicts must be identical -
-    warm_start = time.perf_counter()
-    warm_report = engine.verify(request)
-    warm_seconds = time.perf_counter() - warm_start
-    warm_steps, warm_reused = engine.consume_trace_stats()
-    identical = [r.status for r in warm_report.results] == [
-        r.status for r in cold_report.results
-    ]
-
-    # --- probe ladder: removal budgets 0..8 per point ----------------------
-    ladder = []
-    for row in points[:LADDER_POINTS]:
-        for budget in LADDER_BUDGETS:
-            engine.certify_point(dataset, row, RemovalPoisoningModel(budget))
-        steps, reused = engine.consume_trace_stats()
-        ladder.append({"steps": steps, "reused": reused,
-                       "fraction": reused / steps if steps else 0.0})
-    ladder_steps = sum(p["steps"] for p in ladder)
-    ladder_reused = sum(p["reused"] for p in ladder)
-    ladder_fraction = ladder_reused / ladder_steps if ladder_steps else 0.0
 
     status_counts: dict = {}
     for result in cold_report.results:
@@ -138,14 +104,9 @@ def main() -> int:
             status_counts.get(result.status.value, 0) + 1
         )
 
-    table = TextTable(["arm", "points", "wall-clock (s)", "points/s", "trace reuse"])
+    table = TextTable(["arm", "points", "wall-clock (s)", "points/s"])
     table.add_row(["cold (plans cleared)", cold_report.total, f"{cold_seconds:.3f}",
-                   f"{cold_pps:.2f}", f"{cold_trace_reused}/{cold_trace_steps}"])
-    table.add_row(["warm rerun", warm_report.total, f"{warm_seconds:.3f}",
-                   f"{warm_report.total / warm_seconds:.2f}",
-                   f"{warm_reused}/{warm_steps}"])
-    table.add_row([f"budget ladder 0..{LADDER_BUDGETS[-1]} x{LADDER_POINTS}",
-                   LADDER_POINTS, "-", "-", f"{ladder_reused}/{ladder_steps}"])
+                   f"{cold_pps:.2f}"])
     phase_table = TextTable(["stage/phase", "seconds", "share of cold wall"])
     for key, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
         phase_table.add_row([key, f"{seconds:.4f}", f"{seconds / cold_seconds:.1%}"])
@@ -155,7 +116,7 @@ def main() -> int:
         f"{BASELINE_POINTS_PER_SECOND} pts/s pre-vectorization baseline "
         f"(target {TARGET_COLD_SPEEDUP:.0f}x, floor {MIN_COLD_SPEEDUP:.0f}x)\n"
         + table.render()
-        + f"\nverdicts identical cold vs warm: {identical} ({status_counts})\n\n"
+        + f"\nstatuses: {status_counts}\n\n"
         f"learner_phase_seconds attribution "
         f"({attributed / cold_seconds:.1%} of cold wall):\n"
         + phase_table.render()
@@ -176,22 +137,6 @@ def main() -> int:
             "wall_clock_seconds": cold_seconds,
             "points_per_second": cold_pps,
             "speedup_vs_baseline": speedup,
-            "trace_steps": cold_trace_steps,
-            "trace_reused": cold_trace_reused,
-        },
-        "warm_rerun": {
-            "wall_clock_seconds": warm_seconds,
-            "points_per_second": warm_report.total / warm_seconds,
-            "trace_steps": warm_steps,
-            "trace_reused": warm_reused,
-            "trace_reuse_fraction": warm_reused / warm_steps if warm_steps else 0.0,
-            "verdicts_identical_to_cold": identical,
-        },
-        "budget_ladder": {
-            "budgets": list(LADDER_BUDGETS),
-            "points": LADDER_POINTS,
-            "per_point": ladder,
-            "trace_reuse_fraction": ladder_fraction,
         },
         "status_counts": status_counts,
         "learner_phase_seconds": phases,
@@ -208,11 +153,6 @@ def main() -> int:
             f"{BASELINE_POINTS_PER_SECOND} pts/s baseline (floor "
             f"{MIN_COLD_SPEEDUP:.0f}x)"
         )
-    if not identical:
-        failures.append("warm rerun verdicts differ from the cold run")
-    if warm_reused == 0 and ladder_reused == 0:
-        failures.append("trace_reuse_fraction == 0: warm-started probes never "
-                        "replayed a single filter step")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

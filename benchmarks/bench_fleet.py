@@ -4,7 +4,9 @@
    the router (client → router TCP → shard-owner TCP) must stay within 2×
    the wall-clock of the same warm batch over a direct Unix socket.  The
    router adds exactly one relay hop plus shard hashing; both are
-   per-batch, not per-point.
+   per-batch, not per-point.  Both servers run at once and the two arms
+   are sampled alternately, so host drift hits both; the gate compares the
+   medians of ``SAMPLES`` warm batches per arm.
 2. **Single-point storm** (reported, not gated): ``CONCURRENT_CLIENTS``
    clients each certify one *distinct* point of the same (dataset, model)
    against one TCP server at once.
@@ -14,6 +16,7 @@ artifacts: ``results/fleet.txt`` and ``results/BENCH_fleet.json``.
 """
 
 import json
+import statistics
 import sys
 import tempfile
 import threading
@@ -32,6 +35,7 @@ from repro.utils.tables import TextTable
 ROWS = 512
 BATCH_POINTS = 32
 CONCURRENT_CLIENTS = 8
+SAMPLES = 25
 
 
 def _dataset() -> Dataset:
@@ -48,21 +52,35 @@ def _points() -> np.ndarray:
     return np.linspace(-1.0, 12.0, BATCH_POINTS).reshape(-1, 1)
 
 
-def _timed_batch(address, dataset, points, model, *, reps: int = 5) -> float:
-    """Best-of-``reps`` warm wall-clock: a single ~5ms sample is all jitter."""
-    with CertificationClient(
-        address, max_depth=1, domain="box", timeout_seconds=30.0
-    ) as client:
+def _client(address) -> CertificationClient:
+    return CertificationClient(address, max_depth=1, domain="box", timeout_seconds=30.0)
+
+
+def _timed_batch(client, dataset, points, model) -> float:
+    """Wall-clock of one warm batch, which must be served from cache."""
+    start = time.perf_counter()
+    report = client.certify_batch(dataset, points, model)
+    elapsed = time.perf_counter() - start
+    assert report.runtime_stats["learner_invocations"] == 0, (
+        "warm rerun was not served from cache"
+    )
+    return elapsed
+
+
+def _alternating_medians(direct, routed, dataset, points, model) -> tuple:
+    """Median warm-batch seconds of each arm over ``SAMPLES`` alternating pairs.
+
+    The arm that goes first swaps every pair, so neither arm always runs
+    right after the other's socket work.
+    """
+    for client in (direct, routed):
         client.certify_batch(dataset, points, model)  # warm the runtime
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            report = client.certify_batch(dataset, points, model)
-            best = min(best, time.perf_counter() - start)
-            assert report.runtime_stats["learner_invocations"] == 0, (
-                "warm rerun was not served from cache"
-            )
-    return best
+    samples = {"direct": [], "routed": []}
+    arms = [("direct", direct), ("routed", routed)]
+    for pair in range(SAMPLES):
+        for name, client in arms if pair % 2 == 0 else arms[::-1]:
+            samples[name].append(_timed_batch(client, dataset, points, model))
+    return statistics.median(samples["direct"]), statistics.median(samples["routed"])
 
 
 def _storm(address, dataset, points, model) -> float:
@@ -72,9 +90,7 @@ def _storm(address, dataset, points, model) -> float:
 
     def one(i):
         try:
-            with CertificationClient(
-                address, max_depth=1, domain="box", timeout_seconds=30.0
-            ) as client:
+            with _client(address) as client:
                 barrier.wait(timeout=30)
                 client.certify_batch(dataset, points[i : i + 1], model)
         except BaseException as error:  # noqa: BLE001 - collected for the gate
@@ -105,26 +121,27 @@ def main() -> int:
         direct_server = CertificationServer(
             tmp_path / "s", cache_dir=tmp_path / "direct-cache"
         )
-        with direct_server:
-            wait_for_server(direct_server.socket_path, timeout=30)
-            direct_seconds = _timed_batch(
-                direct_server.socket_path, dataset, points, model
-            )
-
         backend = CertificationServer(
             tcp="127.0.0.1:0", cache_dir=tmp_path / "routed-cache"
         )
-        backend.start()
-        router = CertificationRouter(
-            [backend.address], tcp="127.0.0.1:0", request_timeout=60.0
-        )
-        router.start()
-        wait_for_server(router.address, timeout=30)
-        try:
-            routed_seconds = _timed_batch(router.address, dataset, points, model)
-        finally:
-            router.close()
-            backend.close()
+        with direct_server:
+            backend.start()
+            router = CertificationRouter(
+                [backend.address], tcp="127.0.0.1:0", request_timeout=60.0
+            )
+            router.start()
+            try:
+                wait_for_server(direct_server.socket_path, timeout=30)
+                wait_for_server(router.address, timeout=30)
+                with _client(direct_server.socket_path) as direct, _client(
+                    router.address
+                ) as routed:
+                    direct_seconds, routed_seconds = _alternating_medians(
+                        direct, routed, dataset, points, model
+                    )
+            finally:
+                router.close()
+                backend.close()
 
         # -- single-point storm ---------------------------------------------
         plain = CertificationServer(
@@ -158,7 +175,8 @@ def main() -> int:
     )
     save_artifact(
         "fleet",
-        f"Fleet serving: {BATCH_POINTS}-point warm batches and "
+        f"Fleet serving: {BATCH_POINTS}-point warm batches "
+        f"(median of {SAMPLES} alternating samples per arm) and "
         f"an {CONCURRENT_CLIENTS}-client single-point storm on "
         f"{ROWS}-row {dataset.name} "
         f"(routed/direct warm ratio {routed_ratio:.2f}x)\n"
@@ -168,6 +186,7 @@ def main() -> int:
         "dataset_rows": ROWS,
         "batch_points": BATCH_POINTS,
         "concurrent_clients": CONCURRENT_CLIENTS,
+        "samples_per_arm": SAMPLES,
         "direct_warm_seconds": direct_seconds,
         "routed_warm_seconds": routed_seconds,
         "routed_over_direct_ratio": routed_ratio,

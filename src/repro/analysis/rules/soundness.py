@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.analysis.core import Finding, Project, SourceModule, register
 
@@ -75,7 +75,6 @@ class KernelSpec:
     kernel: str
     oracle: str
     test: str  # repo-relative path of the property-test module
-    oracle_module: str = ""  # path suffix of the oracle's module, if not ``module``
 
 
 DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
@@ -98,11 +97,10 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
         "tests/verify/test_vectorized_kernels.py",
     ),
     KernelSpec(
-        "repro/verify/trace.py",
-        "filter_abstract_traced",
+        "repro/verify/transformers.py",
+        "filter_abstract_closed_form",
         "filter_abstract",
         "tests/verify/test_vectorized_kernels.py",
-        oracle_module="repro/verify/transformers.py",
     ),
     KernelSpec(
         "repro/domains/interval.py",
@@ -230,30 +228,26 @@ class SoundnessBoundaryRule:
     # -- 3. kernel/oracle registry --------------------------------------
     def _check_kernel_registry(self, project: Project) -> Iterator[Finding]:
         for spec in self.kernels:
-            homes: Dict[str, List[Tuple[str, str]]] = {spec.module: [("kernel", spec.kernel)]}
-            oracle_home = homes.setdefault(spec.oracle_module or spec.module, [])
-            oracle_home.append(("scalar oracle", spec.oracle))
-            for path, roles in homes.items():
-                module = project.find_module(path)
-                if module is None:
+            module = project.find_module(spec.module)
+            if module is None:
+                yield Finding(
+                    rule=self.name,
+                    path=spec.module,
+                    line=1,
+                    message=f"kernel registry names missing module {spec.module}",
+                    hint="update DEFAULT_KERNELS in repro/analysis/rules/soundness.py",
+                )
+                continue
+            defined = _defined_functions(module)
+            for role, func in (("kernel", spec.kernel), ("scalar oracle", spec.oracle)):
+                if func not in defined:
                     yield Finding(
                         rule=self.name,
-                        path=path,
+                        path=module.path,
                         line=1,
-                        message=f"kernel registry names missing module {path}",
-                        hint="update DEFAULT_KERNELS in repro/analysis/rules/soundness.py",
+                        message=f"registered {role} `{func}` not defined in module",
+                        hint="re-add the function or update the kernel registry",
                     )
-                    continue
-                defined = _defined_functions(module)
-                for role, func in roles:
-                    if func not in defined:
-                        yield Finding(
-                            rule=self.name,
-                            path=module.path,
-                            line=1,
-                            message=f"registered {role} `{func}` not defined in module",
-                            hint="re-add the function or update the kernel registry",
-                        )
             test_module = project.load(spec.test)
             if test_module is None:
                 yield Finding(

@@ -34,7 +34,6 @@ number of :class:`~repro.api.request.CertificationRequest` objects:
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 import uuid
@@ -59,7 +58,7 @@ from repro.poisoning.models import (
     PerturbationModel,
     resolve_model_classes,
 )
-from repro.runtime.fingerprint import fingerprint_dataset, point_digest
+from repro.runtime.fingerprint import fingerprint_dataset
 from repro.runtime.shm import SharedDatasetHandle
 from repro.telemetry import events, metrics, tracing
 from repro.telemetry import profiling
@@ -128,18 +127,6 @@ _WORKER_TASK_SECONDS = metrics.histogram(
     "Per-task certification wall time inside one pool worker.",
     labelnames=("worker",),
 )
-#: Worker-side pool start-up: dataset attach/unpickle plus plan rebuild.
-#: Observed in the worker and shipped to the parent via the merge plane.
-_POOL_ATTACH_SECONDS = metrics.histogram(
-    "pool_attach_seconds",
-    "Pool initializer time: dataset attach plus request-plan rebuild.",
-)
-#: Bytes of pickled per-worker payload (a shm handle or the full dataset).
-_POOL_PAYLOAD_BYTES = metrics.gauge(
-    "pool_payload_bytes",
-    "Pickled size of the per-worker pool payload.",
-    labelnames=("kind",),
-)
 #: Busy fraction of each worker over the last pooled batch's wall time.
 _WORKER_UTILIZATION = metrics.gauge(
     "worker_utilization",
@@ -152,25 +139,6 @@ _WORKER_MERGE_SECONDS = metrics.histogram(
     "worker_merge_seconds",
     "Parent-side merge cost per worker metric delta.",
 )
-#: Filter steps of Box-domain runs, by how they were served: ``reused`` steps
-#: replayed a warm trace from a prior budget probe of the same (point,
-#: family) by pure budget arithmetic; ``replayed`` steps ran the real
-#: split/join kernels (first probe, or a step whose abstract decisions
-#: changed with the budget).
-_TRACE_WARMSTART = metrics.counter(
-    "trace_warmstart_total",
-    "Box-learner filter steps served from a warm ladder trace (result=reused) "
-    "versus computed by the split/join kernels (result=replayed).",
-    labelnames=("result",),
-)
-_TRACE_REUSED = _TRACE_WARMSTART.labels(result="reused")
-_TRACE_REPLAYED = _TRACE_WARMSTART.labels(result="replayed")
-
-#: Engine-level bound on retained ladder traces (cleared wholesale on
-#: overflow, like the split-plan caches).
-_TRACE_CACHE_SIZE = 512
-
-
 @dataclass(frozen=True)
 class _RequestPlan:
     """Shared per-(dataset, model) state reused across every point of a batch.
@@ -240,15 +208,6 @@ class CertificationEngine:
     _scheduler: Optional[CertificationScheduler] = field(
         init=False, repr=False, default=None
     )
-    # Warm-start ladder traces, keyed (dataset fingerprint, point digest,
-    # family).  Plain dict under the GIL: values are immutable LadderTrace
-    # objects and a lost race merely recomputes one filter step.
-    _trace_cache: dict = field(init=False, repr=False, default_factory=dict)
-    # Per-thread (steps, reused) accumulators consumed by the runtime/search
-    # layers for `trace_reuse_fraction` reporting.
-    _trace_local: threading.local = field(
-        init=False, repr=False, default_factory=threading.local
-    )
 
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
@@ -281,16 +240,12 @@ class CertificationEngine:
         state["runtime"] = None
         state["_scheduler"] = None
         state["_plan_lock"] = None
-        state["_trace_cache"] = {}
-        state["_trace_local"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._plan_cache = OrderedDict()
         self._plan_lock = threading.Lock()
-        self._trace_cache = {}
-        self._trace_local = threading.local()
 
     @property
     def scheduler(self) -> CertificationScheduler:
@@ -441,10 +396,6 @@ class CertificationEngine:
         # their own plan in the pool initializer, so the parent ships neither.
         payload: Union[Dataset, SharedDatasetHandle] = (
             shared_handle if shared_handle is not None else dataset
-        )
-        _POOL_PAYLOAD_BYTES.set(
-            len(pickle.dumps(payload)),
-            kind="shared" if shared_handle is not None else "inline",
         )
         request_id = events.current_request_id()
         # Chunked dispatch: one pool task per *group* of rows, not per row.
@@ -661,10 +612,6 @@ class CertificationEngine:
             trainset = plan.removal_trainset
             domains = _DOMAIN_LADDERS["removal"][self.domain]
         family = "flip" if plan.flip_trainset is not None else "removal"
-        # Warm-start key for the Box rungs: budget-independent on purpose, so
-        # the next probe of the same (dataset, point, family) at budget n+1
-        # (or the next (r, f) staircase step) finds this probe's trace.
-        trace_key = (fingerprint_dataset(dataset), point_digest(x), family)
         with tracing.span("engine.certify_one"):
             with profiling.phase("concrete_predict"):
                 predicted = int(self._trace_learner.predict(dataset, x))
@@ -679,9 +626,7 @@ class CertificationEngine:
             # the engine never turns tracing on (it slows every allocation).
             with MemoryTracker() as memory:
                 for domain in domains:
-                    outcome = self._run_domain(
-                        domain, trainset, x, budget, trace_key=trace_key
-                    )
+                    outcome = self._run_domain(domain, trainset, x, budget)
                     result = self._build_result(
                         outcome,
                         domain=domain,
@@ -715,27 +660,13 @@ class CertificationEngine:
         trainset: Union[AbstractTrainingSet, "FlipAbstractTrainingSet"],
         x: Sequence[float],
         budget: TimeBudget,
-        *,
-        trace_key: Optional[tuple] = None,
     ) -> "_DomainOutcome":
         """Run one rung of the domain ladder; same learners for every family."""
         is_box = domain not in ("disjuncts", FLIP_DISJUNCTS_DOMAIN)
         learner = self._box_learner if is_box else self._disjunctive_learner
         try:
             with profiling.ladder_stage(domain), tracing.span(f"ladder.{domain}"):
-                if is_box:
-                    warm = (
-                        self._trace_cache.get(trace_key)
-                        if trace_key is not None
-                        else None
-                    )
-                    run = learner.run(
-                        trainset, x, time_budget=budget, warm_trace=warm
-                    )
-                    if trace_key is not None:
-                        self._record_trace(trace_key, run)
-                else:
-                    run = learner.run(trainset, x, time_budget=budget)
+                run = learner.run(trainset, x, time_budget=budget)
         except TimeoutExceeded as error:
             return _DomainOutcome(run=None, failure=VerificationStatus.TIMEOUT, message=str(error))
         except (DisjunctBudgetExceeded, MemoryError) as error:
@@ -745,36 +676,6 @@ class CertificationEngine:
                 message=str(error),
             )
         return _DomainOutcome(run=run, failure=None, message="")
-
-    def _record_trace(self, trace_key: tuple, run: AbstractRunResult) -> None:
-        """Retain a Box run's trace and account its warm-start effectiveness."""
-        if run.trace is not None:
-            if len(self._trace_cache) >= _TRACE_CACHE_SIZE:
-                self._trace_cache.clear()
-            self._trace_cache[trace_key] = run.trace
-        reused = run.trace_reused
-        computed = run.trace_steps - reused
-        if reused:
-            _TRACE_REUSED.inc(reused)
-        if computed:
-            _TRACE_REPLAYED.inc(computed)
-        local = self._trace_local
-        local.steps = getattr(local, "steps", 0) + run.trace_steps
-        local.reused = getattr(local, "reused", 0) + reused
-
-    def consume_trace_stats(self) -> Tuple[int, int]:
-        """``(filter_steps, warm_reused)`` accumulated on this thread; resets.
-
-        The runtime's batch stats and the search-protocol results read their
-        ``trace_reuse_fraction`` from this delta, so concurrent threads on a
-        shared engine cannot attribute each other's steps to their operation.
-        """
-        local = self._trace_local
-        steps = int(getattr(local, "steps", 0))
-        reused = int(getattr(local, "reused", 0))
-        local.steps = 0
-        local.reused = 0
-        return steps, reused
 
     def _build_result(
         self,
@@ -877,19 +778,17 @@ def _pool_initializer(
 ) -> None:
     # Snapshot *before* any work: under the fork start method the worker's
     # registry inherits the parent's series wholesale, and everything in this
-    # baseline is excluded from the first task's delta.  Attach and plan
-    # rebuild happen after, so their cost ships with that first delta.
+    # baseline is excluded from the first task's delta.  The plan rebuild
+    # happens after, so its `plan` phase ships with that first delta.
     _POOL_STATE["baseline"] = metrics.get_registry().snapshot()
     _POOL_STATE["epoch"] = uuid.uuid4().hex[:8]
     _POOL_STATE["task_counter"] = 0
-    attach_started = time.perf_counter()
     if isinstance(dataset, SharedDatasetHandle):
         dataset = dataset.attach()
     _POOL_STATE["engine"] = engine
     _POOL_STATE["dataset"] = dataset
     _POOL_STATE["model"] = model
     _POOL_STATE["plan"] = engine._plan_for(dataset, model)
-    _POOL_ATTACH_SECONDS.observe(time.perf_counter() - attach_started)
 
 
 def _pool_certify(task: _WorkerTask) -> _WorkerEnvelope:

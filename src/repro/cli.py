@@ -729,11 +729,6 @@ def _run_scalar_sweep(
                 "max_certified_n": outcome.max_certified_n,
                 "attempts": outcome.attempts,
                 "learner_invocations": outcome.learner_invocations,
-                "trace_steps": getattr(outcome, "trace_steps", 0),
-                "trace_reused": getattr(outcome, "trace_reused", 0),
-                "trace_reuse_fraction": getattr(
-                    outcome, "trace_reuse_fraction", 0.0
-                ),
             }
         else:
             search = engine.max_certified(
@@ -744,9 +739,6 @@ def _run_scalar_sweep(
                 "max_certified_n": search.max_certified_n,
                 "attempts": len(search.attempts),
                 "learner_invocations": None,
-                "trace_steps": search.trace_steps,
-                "trace_reused": search.trace_reused,
-                "trace_reuse_fraction": search.trace_reuse_fraction,
             }
         outcomes.append(row)
         if not args.quiet:
@@ -767,13 +759,6 @@ def _run_scalar_sweep(
         table.add_row(["mean max budget", f"{sum(budgets) / len(budgets):.2f}"])
         table.add_row(["largest max budget", max(budgets)])
     table.add_row(["total probes", sum(row["attempts"] for row in outcomes)])
-    trace_steps = sum(row["trace_steps"] for row in outcomes)
-    trace_reused = sum(row["trace_reused"] for row in outcomes)
-    if trace_steps:
-        table.add_row(
-            ["trace reuse",
-             f"{trace_reused}/{trace_steps} ({trace_reused / trace_steps:.1%})"]
-        )
     stats = runtime.stats_snapshot() if runtime is not None else None
     if stats is not None:
         table.add_row(["learner invocations", stats["learner_invocations"]])
@@ -802,10 +787,9 @@ def _run_scalar_sweep(
         )
         print(f"[sweep JSON written to {args.json}]", file=sys.stderr)
     if args.csv:
-        lines = ["index,max_certified_n,attempts,trace_steps,trace_reused"]
+        lines = ["index,max_certified_n,attempts"]
         lines += [
-            f"{row['index']},{row['max_certified_n']},{row['attempts']},"
-            f"{row['trace_steps']},{row['trace_reused']}"
+            f"{row['index']},{row['max_certified_n']},{row['attempts']}"
             for row in outcomes
         ]
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")

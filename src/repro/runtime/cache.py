@@ -61,9 +61,6 @@ _SQLITE_LOOKUP = _SQLITE_SECONDS.labels(op="lookup")
 _SQLITE_STORE = _SQLITE_SECONDS.labels(op="store")
 _SQLITE_COMMIT = _SQLITE_SECONDS.labels(op="commit")
 _SQLITE_GC = _SQLITE_SECONDS.labels(op="gc")
-_GC_EVICTED = metrics.counter(
-    "cache_gc_evicted_total", "Verdicts evicted by cache garbage collection."
-)
 
 #: Statuses that are environment-independent facts about the proof problem.
 #: Shared with the run journal: neither layer may persist a timeout or a
@@ -557,8 +554,6 @@ class CertificationCache:
                     size = self._logical_size()
             remaining = db.execute("SELECT COUNT(*) FROM verdicts").fetchone()[0]
             size_after = self._logical_size()
-        if evicted:
-            _GC_EVICTED.inc(evicted)
         _SQLITE_GC.observe(time.perf_counter() - started)
         return {
             "evicted": int(evicted),

@@ -57,13 +57,6 @@ _CACHE_LOOKUPS = metrics.counter(
 _CACHE_HIT = _CACHE_LOOKUPS.labels(result="hit")
 _CACHE_MONOTONE = _CACHE_LOOKUPS.labels(result="monotone")
 _CACHE_MISS = _CACHE_LOOKUPS.labels(result="miss")
-_JOURNAL_RESTORED = metrics.counter(
-    "journal_restored_total", "Verdicts replayed from a resumable run journal."
-)
-_DEDUPLICATED = metrics.counter(
-    "runtime_deduplicated_total",
-    "Points answered by another point's work (in-batch dups + delivered leases).",
-)
 
 
 @dataclass
@@ -84,12 +77,6 @@ class BatchStats:
     learner_invocations: int = 0
     shared_memory: bool = False
     truncated_at: Optional[int] = None
-    # Box-learner filter steps of this batch's serial learner runs, and how
-    # many were warm-started from a prior probe's ladder trace.  Pool workers
-    # account their steps in `trace_warmstart_total` via the metric merge
-    # plane, not here.
-    trace_steps: int = 0
-    trace_reused: int = 0
 
     @property
     def answered_without_learner(self) -> int:
@@ -106,12 +93,6 @@ class BatchStats:
             return None
         return self.answered_without_learner / self.points
 
-    @property
-    def trace_reuse_fraction(self) -> float:
-        if self.trace_steps == 0:
-            return 0.0
-        return self.trace_reused / self.trace_steps
-
     def add(self, other: "BatchStats") -> None:
         self.points += other.points
         self.cache_hits += other.cache_hits
@@ -121,8 +102,6 @@ class BatchStats:
         self.deduplicated += other.deduplicated
         self.learner_invocations += other.learner_invocations
         self.shared_memory = self.shared_memory or other.shared_memory
-        self.trace_steps += other.trace_steps
-        self.trace_reused += other.trace_reused
 
     def snapshot(self) -> dict:
         return {
@@ -136,30 +115,16 @@ class BatchStats:
             "hit_rate": self.hit_rate,
             "shared_memory": self.shared_memory,
             "truncated_at": self.truncated_at,
-            "trace_steps": self.trace_steps,
-            "trace_reused": self.trace_reused,
-            "trace_reuse_fraction": self.trace_reuse_fraction,
         }
 
 
 @dataclass(frozen=True)
 class BudgetSweepOutcome:
-    """Per-point outcome of :meth:`CertificationRuntime.budget_sweep`.
-
-    ``trace_steps`` / ``trace_reused`` count the Box-learner filter steps of
-    this point's probes and how many were warm-started from a prior probe's
-    ladder trace instead of re-running the split/join kernels.
-    """
+    """Per-point outcome of :meth:`CertificationRuntime.budget_sweep`."""
 
     max_certified_n: int
     attempts: int
     learner_invocations: int
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
 
     @property
     def ever_certified(self) -> bool:
@@ -182,12 +147,6 @@ class ParetoOutcome:
     probes: int
     attempted_pairs: int
     learner_invocations: int
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
 
     def to_dict(self) -> dict:
         """JSON rows shape-compatible with ``ParetoFrontierResult.to_dict``."""
@@ -196,8 +155,6 @@ class ParetoOutcome:
             "probes": self.probes,
             "attempted_pairs": self.attempted_pairs,
             "learner_invocations": self.learner_invocations,
-            "trace_steps": self.trace_steps,
-            "trace_reused": self.trace_reused,
         }
 
     @property
@@ -290,16 +247,8 @@ class CertificationRuntime:
         return int(getattr(self._batch_local, "op_invocations", 0))
 
     def _reset_op_counters(self) -> None:
-        """Zero this thread's per-operation counters before a sweep's probes."""
+        """Zero this thread's per-operation invocation count before a sweep's probes."""
         self._batch_local.op_invocations = 0
-        self._batch_local.op_trace_steps = 0
-        self._batch_local.op_trace_reused = 0
-
-    def _op_trace(self) -> tuple:
-        return (
-            int(getattr(self._batch_local, "op_trace_steps", 0)),
-            int(getattr(self._batch_local, "op_trace_reused", 0)),
-        )
 
     # ------------------------------------------------------------- the plane
     def publish(self, dataset: Dataset) -> Optional[SharedDatasetHandle]:
@@ -328,11 +277,6 @@ class CertificationRuntime:
         """
         stats = BatchStats(points=len(rows))
         self.last_batch_stats = stats
-        consume_trace = getattr(engine, "consume_trace_stats", None)
-        if consume_trace is not None:
-            # Drop trace-step residue a non-runtime caller may have left on
-            # this thread, so this batch's reuse fraction is its own.
-            consume_trace()
 
         fp = fingerprint_dataset(dataset)
         family, budget = model_cache_key(model, len(dataset))
@@ -389,14 +333,12 @@ class CertificationRuntime:
                     log10_datasets,
                 )
                 stats.journal_restored += 1
-                _JOURNAL_RESTORED.inc()
                 if self.cache is not None:
                     store_chunked(digests[index], resolved[index])
                 continue
             if digests[index] in first_miss_for:
                 duplicate_of[index] = digests[index]
                 stats.deduplicated += 1
-                _DEDUPLICATED.inc()
                 continue
             if self.cache is not None:
                 hit = self.cache.lookup(
@@ -479,10 +421,6 @@ class CertificationRuntime:
         finally:
             if self.cache is not None:
                 self.cache.commit()
-            if consume_trace is not None:
-                steps, reused = consume_trace()
-                stats.trace_steps += steps
-                stats.trace_reused += reused
             with self._stats_lock:
                 self.stats.add(stats)
             events.emit("runtime.batch", **stats.snapshot())
@@ -535,31 +473,17 @@ class CertificationRuntime:
                 return self._adapt_hit(
                     hit, amount, flips, model.log10_num_neighbors(len(dataset))
                 )
-        consume_trace = getattr(engine, "consume_trace_stats", None)
-        if consume_trace is not None:
-            consume_trace()
         result = engine._certify_one(
             dataset, row, model, engine._plan_for(dataset, model)
-        )
-        trace_steps, trace_reused = (
-            consume_trace() if consume_trace is not None else (0, 0)
         )
         with self._stats_lock:
             self.stats.cache_misses += 1
             self.stats.learner_invocations += 1
-            self.stats.trace_steps += trace_steps
-            self.stats.trace_reused += trace_reused
         if self.cache is not None:
             _CACHE_MISS.inc()
         # Per-operation accounting for sweeps: thread-local, so concurrent
         # requests on a shared runtime cannot inflate each other's counts.
         self._batch_local.op_invocations = self._op_invocations() + 1
-        self._batch_local.op_trace_steps = (
-            int(getattr(self._batch_local, "op_trace_steps", 0)) + trace_steps
-        )
-        self._batch_local.op_trace_reused = (
-            int(getattr(self._batch_local, "op_trace_reused", 0)) + trace_reused
-        )
         if self.cache is not None:
             self.cache.store(fp, point_digest(row), family, engine_key, budget, result)
         return result
@@ -617,17 +541,11 @@ class CertificationRuntime:
             max_n=max_budget,
             model=model,
         )
-        trace_steps, trace_reused = self._op_trace()
         return BudgetSweepOutcome(
             max_certified_n=search.max_certified_n,
             attempts=len(search.attempts),
             learner_invocations=self._op_invocations(),
-            trace_steps=trace_steps,
-            trace_reused=trace_reused,
         )
-
-    # Pre-generic-search name, kept for callers of the PR-2 API.
-    max_certified_budget = max_certified
 
     # --------------------------------------------------------- pareto sweeps
     def pareto_frontier(
@@ -657,14 +575,11 @@ class CertificationRuntime:
             max_flip=max_flip,
             model=model,
         )
-        trace_steps, trace_reused = self._op_trace()
         return ParetoOutcome(
             frontier=outcome.frontier,
             probes=outcome.probes,
             attempted_pairs=len(outcome.attempts),
             learner_invocations=self._op_invocations(),
-            trace_steps=trace_steps,
-            trace_reused=trace_reused,
         )
 
     def pareto_sweep(
@@ -745,7 +660,6 @@ class CertificationRuntime:
         """
         with self._stats_lock:
             self.stats.deduplicated += count
-        _DEDUPLICATED.inc(count)
 
     def stats_snapshot(self) -> dict:
         """A consistent copy of the lifetime counters, taken under the lock.

@@ -448,8 +448,6 @@ class CertificationClient:
             max_certified_n=int(result["max_certified_n"]),
             attempts=int(result["attempts"]),
             learner_invocations=int(result["learner_invocations"]),
-            trace_steps=int(result.get("trace_steps", 0)),
-            trace_reused=int(result.get("trace_reused", 0)),
         )
 
     def pareto_frontier(

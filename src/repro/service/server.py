@@ -464,8 +464,6 @@ class CertificationServer:
             "max_certified_n": outcome.max_certified_n,
             "attempts": outcome.attempts,
             "learner_invocations": outcome.learner_invocations,
-            "trace_steps": outcome.trace_steps,
-            "trace_reused": outcome.trace_reused,
         }
 
     def _op_pareto_frontier(self, params: dict) -> dict:

@@ -95,24 +95,11 @@ def _pair_template(model: ModelTemplate) -> PerturbationModel:
 
 @dataclass(frozen=True)
 class PoisoningSearchResult:
-    """Outcome of the per-point doubling/binary search.
-
-    ``trace_steps`` / ``trace_reused`` count the Box-learner filter steps the
-    probes of this search executed and how many were warm-started from the
-    previous probe's ladder trace (zero when the verifier does not expose
-    trace accounting — e.g. probes routed through a runtime cache, which
-    reports the same numbers on its own sweep outcomes instead).
-    """
+    """Outcome of the per-point doubling/binary search."""
 
     max_certified_n: int
     attempts: Dict[int, bool]
     results: Dict[int, VerificationResult]
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
 
     @property
     def ever_certified(self) -> bool:
@@ -151,23 +138,11 @@ def max_certified_poisoning(
         results[n] = result
         return attempts[n]
 
-    consume_trace = getattr(engine, "consume_trace_stats", None)
-    if consume_trace is not None:
-        consume_trace()
     # Budget 0 is the trivial floor of the protocol ("never certified"), so
     # this is exactly the shared doubling/clamp/binary-search helper the
     # frontier search uses, with the doubling seeded at ``start``.
     best = _largest_certified(0, max_n, attempt, span=max(1, start))
-    trace_steps, trace_reused = (
-        consume_trace() if consume_trace is not None else (0, 0)
-    )
-    return PoisoningSearchResult(
-        max_certified_n=best,
-        attempts=attempts,
-        results=results,
-        trace_steps=trace_steps,
-        trace_reused=trace_reused,
-    )
+    return PoisoningSearchResult(max_certified_n=best, attempts=attempts, results=results)
 
 
 @dataclass
@@ -269,12 +244,6 @@ class ParetoFrontierResult:
     attempts: Dict[Tuple[int, int], bool]
     probes: int
     results: Dict[Tuple[int, int], VerificationResult] = field(repr=False, default_factory=dict)
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
 
     @property
     def ever_certified(self) -> bool:
@@ -428,9 +397,6 @@ def pareto_frontier(
         raise ValidationError("max_remove and max_flip must be non-negative")
 
     oracle = _PairOracle(engine, dataset, x, template)
-    consume_trace = getattr(engine, "consume_trace_stats", None)
-    if consume_trace is not None:
-        consume_trace()
     frontier: List[Tuple[int, int]] = []
     r_lo = 0
     f_hi = max_flip
@@ -447,16 +413,11 @@ def pareto_frontier(
         if f == 0:
             break
         f_hi = f - 1
-    trace_steps, trace_reused = (
-        consume_trace() if consume_trace is not None else (0, 0)
-    )
     return ParetoFrontierResult(
         frontier=tuple(frontier),
         attempts=dict(oracle.attempts),
         probes=oracle.probes,
         results=dict(oracle.results),
-        trace_steps=trace_steps,
-        trace_reused=trace_reused,
     )
 
 

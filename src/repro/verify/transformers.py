@@ -191,9 +191,9 @@ def filter_abstract(
     Returns ``None`` (bottom) when no predicate applies, which can only happen
     when ``Ψ`` contains no concrete choices.  This is the scalar oracle: one
     ``split_down`` per piece, folded with the pairwise join of
-    Definition 4.1.  The learners run
-    :func:`repro.verify.trace.filter_abstract_traced`, its closed-form
-    vector kernel, which the property tests hold to it bit for bit.
+    Definition 4.1.  The learners run :func:`filter_abstract_closed_form`,
+    its closed-form vector kernel, which the property tests hold to it bit
+    for bit.
     """
     with profiling.phase("filter"):
         satisfied, falsified = predicates.partition_for_point(x)
@@ -212,6 +212,104 @@ def filter_abstract(
         for piece in pieces[1:]:
             result = result.join(piece)
         return result
+
+
+# The join that ``filter#`` takes over the split pieces ``⟨T_j, n_j⟩`` has a
+# closed form: for non-empty pieces with ``n_j ≤ |T_j|``, folded left to right,
+#
+#     ⊔_j ⟨T_j, n_j⟩ = ⟨∪_j T_j, |∪_j T_j| − min_j (|T_j| − n_j)⟩.
+#
+# Proof: with ``U_k`` the size of the first ``k`` pieces' union and ``b_k`` the
+# fold's budget, Definition 4.1 gives
+# ``b_k = max((U_k − |T_k|) + n_k, (U_k − U_{k−1}) + b_{k−1})``, i.e.
+# ``b_k − U_k = max(n_k − |T_k|, b_{k−1} − U_{k−1})``; both terms are ``≤ 0``,
+# so the clamp to the union size never binds.  For ``⟨T, r, f⟩`` elements
+# ``r`` follows the same formula and ``f = max_j f_j``.  The join is therefore
+# order-independent and needs no intermediate unions.
+
+
+def joined_budget(union_size: int, sizes: np.ndarray, budgets: np.ndarray) -> int:
+    """Budget of ``⊔_j ⟨T_j, n_j⟩`` whose union has ``union_size`` rows (see above)."""
+    return union_size - int((sizes - budgets).min())
+
+
+def _filtered_removals(
+    loose: np.ndarray, tight: np.ndarray, union_size: int, n: int
+) -> int:
+    """The filtered element's removal budget for an incoming budget ``n``.
+
+    ``loose[j]`` is piece ``j``'s row count ``l`` and ``tight[j]`` the tight
+    count ``t`` of a symbolic split (``t = l`` for a concrete predicate, for
+    which the symbolic budget rule reduces to ``min(n, l)``).
+    """
+    pieces = np.maximum(np.minimum(n, loose), (loose - tight) + np.minimum(n, tight))
+    return joined_budget(union_size, loose, pieces)
+
+
+def filter_abstract_closed_form(
+    trainset: AbstractTrainingSet,
+    predicates: AbstractPredicateSet,
+    x: Sequence[float],
+) -> Optional[AbstractTrainingSet]:
+    """``filter#(trainset, Ψ, x)``, equal to :func:`filter_abstract`.
+
+    Every (predicate, branch) piece that ``x`` can take is split at once over
+    the node's rows: the positive branch of ``x_i <= [a, b)`` keeps
+    ``x_i < b`` (loose) of which ``x_i <= a`` is tight, the negative branch
+    keeps ``x_i > a`` of which ``x_i >= b`` is tight, and a concrete
+    predicate's piece is its satisfying (resp. falsifying) rows.  Empty
+    pieces are identities of the join (Example 4.8) and are dropped; the
+    row set is the OR of the loose masks and the budgets follow the closed
+    form above.
+    """
+    with profiling.phase("filter"):
+        possibly_true, possibly_false = predicates.point_sides(x)
+        features, low, high, symbolic, equality = predicates.arrays
+        # Pieces in four blocks: symbolic positive, symbolic negative,
+        # concrete positive, concrete negative (the join is order-free).
+        blocks = (
+            possibly_true & symbolic,
+            possibly_false & symbolic,
+            possibly_true & ~symbolic,
+            possibly_false & ~symbolic,
+        )
+        pieces = np.concatenate([np.flatnonzero(block) for block in blocks])
+        a, b, c = np.cumsum([np.count_nonzero(block) for block in blocks[:3]]).tolist()
+        low = low[pieces, np.newaxis]
+        high = high[pieces, np.newaxis]
+        indices = trainset.indices
+        # One row of node values per piece; each needed column is read once.
+        columns, inverse = np.unique(features[pieces], return_inverse=True)
+        values = trainset.dataset.X.T[np.ix_(columns, indices)][inverse]
+
+        loose = np.empty(values.shape, dtype=bool)
+        tight = np.empty((b, values.shape[1]), dtype=bool)
+        np.less(values[:a], high[:a], out=loose[:a])
+        np.less_equal(values[:a], low[:a], out=tight[:a])
+        np.greater(values[a:b], low[a:b], out=loose[a:b])
+        np.greater_equal(values[a:b], high[a:b], out=tight[a:b])
+        concrete, bound = values[b:], low[b:]
+        hit = np.where(equality[pieces[b:], np.newaxis], concrete == bound, concrete <= bound)
+        loose[b:c] = hit[: c - b]
+        np.logical_not(hit[c - b :], out=loose[c:])
+
+        loose_counts = np.count_nonzero(loose, axis=1)
+        tight_counts = np.concatenate([np.count_nonzero(tight, axis=1), loose_counts[b:]])
+        nonempty = loose_counts > 0
+        if not nonempty.any():
+            return None
+        next_indices = indices[loose.any(axis=0)]
+        next_indices.setflags(write=False)
+        loose_counts = loose_counts[nonempty]
+        tight_counts = tight_counts[nonempty]
+        union_size = int(next_indices.size)
+        flips = getattr(trainset, "flips", None)
+        if flips is None:
+            n = _filtered_removals(loose_counts, tight_counts, union_size, trainset.n)
+            return type(trainset)._trusted(trainset.dataset, next_indices, n)
+        r = _filtered_removals(loose_counts, tight_counts, union_size, trainset.removals)
+        f = min(flips, int(loose_counts.max()))  # max_j min(f, l_j)
+        return type(trainset)._trusted(trainset.dataset, next_indices, r, f)
 
 
 # ---------------------------------------------------------------------------

@@ -228,36 +228,6 @@ class TestSoundnessBoundary:
         spec = KernelSpec("abstract/kern.py", "_kernel", "_kernel_reference", "tests/test_kern.py")
         assert _run(tmp_path, self._rule(kernels=[spec])).ok
 
-    def test_oracle_may_live_in_another_module(self, tmp_path):
-        _write(tmp_path, "src/abstract/kern.py", "def _kernel(x):\n    return x\n")
-        _write(
-            tmp_path, "src/abstract/oracle.py", "def _kernel_reference(x):\n    return x\n"
-        )
-        _write(
-            tmp_path,
-            "tests/test_kern.py",
-            "from abstract.kern import _kernel\nfrom abstract.oracle import _kernel_reference\n",
-        )
-        spec = KernelSpec(
-            "abstract/kern.py",
-            "_kernel",
-            "_kernel_reference",
-            "tests/test_kern.py",
-            oracle_module="abstract/oracle.py",
-        )
-        assert _run(tmp_path, self._rule(kernels=[spec])).ok
-        moved = KernelSpec(
-            "abstract/kern.py",
-            "_kernel",
-            "_kernel_reference",
-            "tests/test_kern.py",
-            oracle_module="abstract/gone.py",
-        )
-        report = _run(tmp_path, self._rule(kernels=[moved]))
-        assert [f.message for f in report.new_findings] == [
-            "kernel registry names missing module abstract/gone.py"
-        ]
-
     def test_missing_test_module_fires(self, tmp_path):
         _write(
             tmp_path,

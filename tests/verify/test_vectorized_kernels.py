@@ -17,11 +17,10 @@ equal `dominating_component` / folded `join_interval_vectors` row by row.
 
 ``filter#`` is held to its oracle the same way: the closed-form n-ary join
 (`joined_budget`) must equal the left fold of pairwise joins under every
-order, `filter_abstract_traced` must equal `filter_abstract` (one
-`split_down` per piece, folded) in row set and budgets, and a replayed
-:class:`~repro.verify.trace.TraceStep` must equal `filter_abstract` at
-*every* budget.  An engine that warm-starts across a budget ladder must
-report verdicts identical to fresh cold runs.
+order, and `filter_abstract_closed_form` must equal `filter_abstract` (one
+`split_down` per piece, folded) in row set and budgets at *every* budget of
+a ladder.  One engine walked across a budget ladder (and rerun at the same
+budget) must report verdicts identical to fresh engines.
 """
 
 import itertools
@@ -32,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import CertificationEngine
 from repro.core import split_plan
+from repro.core.dataset import Dataset
 from repro.core.predicates import (
     EqualityPredicate,
     SymbolicThresholdPredicate,
@@ -52,13 +52,14 @@ from repro.poisoning.label_flip import (
     _flip_split_score_bounds_reference,
 )
 from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
-from repro.verify.trace import filter_abstract_traced, joined_budget
 from repro.verify.transformers import (
     _side_score_bounds,
     _side_score_bounds_reference,
     _table_positions,
     best_split_abstract,
     filter_abstract,
+    filter_abstract_closed_form,
+    joined_budget,
     leaf_exit_bounds,
     leaf_exit_bounds_reference,
     split_statistics,
@@ -370,10 +371,10 @@ class TestFilterMatchesOracle:
     @given(filter_problems())
     def test_matches_filter_abstract(self, problem):
         state, predicates, x = problem
-        result, step = filter_abstract_traced(state, predicates, x)
-        expected = filter_abstract(state, predicates, x)
-        _assert_same_filter(result, expected)
-        _assert_same_filter(step.apply(state), expected)
+        _assert_same_filter(
+            filter_abstract_closed_form(state, predicates, x),
+            filter_abstract(state, predicates, x),
+        )
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_all_pieces_empty_is_bottom(self, flip):
@@ -384,8 +385,24 @@ class TestFilterMatchesOracle:
         predicates = AbstractPredicateSet.of([ThresholdPredicate(0, below)])
         x = np.full(dataset.n_features, below - 1.0)
         assert filter_abstract(state, predicates, x) is None
-        result, step = filter_abstract_traced(state, predicates, x)
-        assert result is None and step.apply(state) is None
+        assert filter_abstract_closed_form(state, predicates, x) is None
+
+    def test_flip_budget_is_capped_by_the_largest_piece(self):
+        # x = 2.5 takes x0 <= 3.5 (rows 0–3) and not x0 <= 1.5 (rows 2–5):
+        # two 4-row pieces whose union is all 6 rows, so flips cap at 4, not 6.
+        dataset = Dataset(
+            X=np.arange(6.0).reshape(-1, 1),
+            y=np.array([0, 1, 0, 1, 0, 1]),
+            n_classes=2,
+            name="overlap",
+        )
+        state = _flip_state(dataset, 1, 5)
+        predicates = AbstractPredicateSet.of(
+            [ThresholdPredicate(0, 3.5), ThresholdPredicate(0, 1.5)]
+        )
+        expected = filter_abstract(state, predicates, [2.5])
+        assert expected is not None and expected.flips == 4
+        _assert_same_filter(filter_abstract_closed_form(state, predicates, [2.5]), expected)
 
 
 def _removal_state(dataset, budget):
@@ -400,28 +417,30 @@ def _flip_state(dataset, removals, flips):
     )
 
 
-class TestTraceReplayMatchesFilter:
-    """A recorded TraceStep replays ``filter#`` exactly at every other budget.
+class TestFilterLadderMatchesOracle:
+    """The kernel equals ``filter_abstract`` at every budget of a ladder.
 
-    The replay never re-runs the split kernels — it is the closed-form join
-    over the recorded piece sizes — so agreement with the scalar oracle
-    ``filter_abstract`` is the soundness argument for warm-started probes.
+    The row set of a filter does not depend on the budget, but the budget
+    formula does; running one (node, Ψ, x) across a ladder of budgets holds
+    the closed form to the pairwise fold at budgets below, at and above the
+    piece sizes.
     """
 
     @settings(max_examples=200, deadline=None)
     @given(filter_problems(), st.integers(0, 5), st.integers(0, 5))
-    def test_replay_of_any_filter(self, problem, removals, flips):
+    def test_any_filter_at_any_budget(self, problem, removals, flips):
         state, predicates, x = problem
-        _, step = filter_abstract_traced(state, predicates, x)
         if isinstance(state, FlipAbstractTrainingSet):
             probe = FlipAbstractTrainingSet(state.dataset, state.indices, removals, flips)
         else:
             probe = AbstractTrainingSet(state.dataset, state.indices, removals)
-        assert step.matches(probe, predicates.predicates)
-        _assert_same_filter(step.apply(probe), filter_abstract(probe, predicates, x))
+        _assert_same_filter(
+            filter_abstract_closed_form(probe, predicates, x),
+            filter_abstract(probe, predicates, x),
+        )
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_removal_replay_all_budgets(self, seed):
+    def test_removal_ladder_all_budgets(self, seed):
         rng = np.random.default_rng(seed)
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
@@ -430,14 +449,15 @@ class TestTraceReplayMatchesFilter:
         predicates = predicates.without_null()
         if not predicates.has_concrete_choices:
             pytest.skip("bestSplit# returned only ⋄ for this draw")
-        _, step = filter_abstract_traced(state, predicates, x)
         for budget in range(0, 7):
             probe = _removal_state(dataset, budget)
-            assert step.matches(probe, predicates.predicates)
-            _assert_same_filter(step.apply(probe), filter_abstract(probe, predicates, x))
+            _assert_same_filter(
+                filter_abstract_closed_form(probe, predicates, x),
+                filter_abstract(probe, predicates, x),
+            )
 
     @pytest.mark.parametrize("seed", range(12, 24))
-    def test_flip_replay_all_budget_pairs(self, seed):
+    def test_flip_ladder_all_budget_pairs(self, seed):
         rng = np.random.default_rng(seed)
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
@@ -446,13 +466,12 @@ class TestTraceReplayMatchesFilter:
         predicates = predicates.without_null()
         if not predicates.has_concrete_choices:
             pytest.skip("bestSplit# returned only ⋄ for this draw")
-        _, step = filter_abstract_traced(state, predicates, x)
         for removals in range(0, 4):
             for flips in range(0, 4):
                 probe = _flip_state(dataset, removals, flips)
-                assert step.matches(probe, predicates.predicates)
                 _assert_same_filter(
-                    step.apply(probe), filter_abstract(probe, predicates, x)
+                    filter_abstract_closed_form(probe, predicates, x),
+                    filter_abstract(probe, predicates, x),
                 )
 
 
@@ -465,22 +484,25 @@ def _verdict(result):
 
 
 class TestWarmStartVerdictIdentity:
-    """Warm-started staircase probes report identical verdicts to cold runs.
+    """One engine's probes report identical verdicts to fresh engines.
 
-    One engine walks the whole ladder (its trace cache warm-starts every probe
-    after the first); the oracle certifies each budget on a fresh engine with
-    an empty trace cache.  Status, certified class, and the class intervals
-    must agree exactly — warm-starting is an optimization, never a semantic
-    change.
+    One engine walks the whole ladder, or reruns one budget, with its plan
+    and split-table caches warm from the earlier probes; the oracle certifies
+    each budget on a fresh engine.  Status, certified class, and the class
+    intervals must agree exactly: engine state is an optimization, never a
+    semantic change.
     """
 
+    @pytest.mark.parametrize(
+        "budgets", [tuple(range(0, 6)), (2, 2)], ids=["ladder", "rerun"]
+    )
     @pytest.mark.parametrize("seed", range(6))
-    def test_removal_budget_ladder(self, seed):
+    def test_removal_budget_ladder(self, seed, budgets):
         rng = np.random.default_rng(100 + seed)
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
         warm_engine = CertificationEngine(max_depth=2, domain="either")
-        for budget in range(0, 6):
+        for budget in budgets:
             model = RemovalPoisoningModel(budget)
             warm = warm_engine.certify_point(dataset, x, model)
             cold = CertificationEngine(max_depth=2, domain="either").certify_point(
